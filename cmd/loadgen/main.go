@@ -107,6 +107,10 @@ type options struct {
 	store     string
 	ckptEvery int
 	restore   bool
+	// seed and faultSeed pick the traffic scripts and the fault plan.
+	seed, faultSeed int64
+	// cpuProfile/memProfile name pprof output files; empty skips each.
+	cpuProfile, memProfile string
 }
 
 // validate rejects contradictory or out-of-range flag combinations
@@ -240,14 +244,14 @@ func parseArrival(s string) (open bool, gap int, err error) {
 // (the same scripts workload.Legacy compiles for out-of-tree callers),
 // or a weighted persona mix. validate has already vetted the mix and
 // arrival specs.
-func buildScenario(o options, seed int64) *workload.Scenario {
+func buildScenario(o options) *workload.Scenario {
 	if o.scenario == "" {
-		return workload.NewScenario("storm", seed).
+		return workload.NewScenario("storm", o.seed).
 			Mix(workload.Stormer(o.steps, o.burst, o.users), 1).
 			Sessions(o.n).
 			Parallel(o.par)
 	}
-	sc := workload.NewScenario(o.scenario, seed).Sessions(o.n).Parallel(o.par)
+	sc := workload.NewScenario(o.scenario, o.seed).Sessions(o.n).Parallel(o.par)
 	mix, _ := parseMix(o.mix)
 	for _, e := range mix {
 		sc.Mix(e.persona, e.weight)
@@ -258,39 +262,36 @@ func buildScenario(o options, seed int64) *workload.Scenario {
 	return sc
 }
 
-func main() {
-	n := flag.Int("n", 100, "concurrent connections")
-	steps := flag.Int("steps", 24, "requests per session")
-	burst := flag.Int("burst", 0, "requests fired back-to-back per connection (default: steps)")
-	users := flag.Int("users", 0, "distinct accounts (default: min(n, 8))")
-	seed := flag.Int64("seed", 75, "script generator seed")
-	par := flag.Int("par", 1, "worker goroutines replaying the connections")
-	stage := flag.Int("stage", int(core.S6Restructured), "kernel stage (0..6)")
-	compare := flag.Bool("compare", false, "also replay the same storm on the legacy S0 path")
-	faultRate := flag.Float64("fault-rate", 0, "uniform fault-injection rate in [0, 1]; 0 disables the fault plane")
-	faultSeed := flag.Int64("fault-seed", 1, "fault plan seed (only with -fault-rate > 0)")
-	showMetrics := flag.Bool("metrics", false, "sample the metrics registry live and print the final snapshot")
-	metricsEvery := flag.Int64("metrics-every", 10000, "sampling period for -metrics, in virtual cycles")
-	kernels := flag.Int("kernels", 1, "fleet size: shard the sessions across this many independent kernels")
-	migrateEvery := flag.Int("migrate-every", 0, "live-migrate every session after every K bursts (needs -kernels > 1)")
-	storePath := flag.String("store", "", "journal file for the durable backing store; empty keeps the volatile store")
-	ckptEvery := flag.Int("checkpoint-every", 0, "checkpoint after every K steps (needs -store)")
-	restore := flag.Bool("restore", false, "resume from the last checkpoint in -store instead of booting fresh")
-	scenario := flag.String("scenario", "", "persona scenario name; empty replays the classic flat storm")
-	mix := flag.String("mix", "", "persona weights for -scenario, e.g. editor=3,compiler=2 (default "+defaultMix+")")
-	arrival := flag.String("arrival", "", "arrival model for -scenario: closed (default) or open[:GAP]")
-	flag.Parse()
-
-	o := options{
-		n: *n, steps: *steps, burst: *burst, users: *users,
-		par: *par, stage: *stage, faultRate: *faultRate,
-		scenario: *scenario, mix: *mix, arrival: *arrival,
-		metricsEvery: *metricsEvery,
-		kernels:      *kernels, migrateEvery: *migrateEvery,
-		compare: *compare, metrics: *showMetrics,
-		store: *storePath, ckptEvery: *ckptEvery, restore: *restore,
+// parseFlags registers loadgen's flags on fs and parses args into
+// options; validate vets the combination afterwards.
+func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
+	var o options
+	fs.IntVar(&o.n, "n", 100, "concurrent connections")
+	fs.IntVar(&o.steps, "steps", 24, "requests per session")
+	fs.IntVar(&o.burst, "burst", 0, "requests fired back-to-back per connection (default: steps)")
+	fs.IntVar(&o.users, "users", 0, "distinct accounts (default: min(n, 8))")
+	fs.Int64Var(&o.seed, "seed", 75, "script generator seed")
+	fs.IntVar(&o.par, "par", 1, "worker goroutines replaying the connections")
+	fs.IntVar(&o.stage, "stage", int(core.S6Restructured), "kernel stage (0..6)")
+	fs.BoolVar(&o.compare, "compare", false, "also replay the same storm on the legacy S0 path")
+	fs.Float64Var(&o.faultRate, "fault-rate", 0, "uniform fault-injection rate in [0, 1]; 0 disables the fault plane")
+	fs.Int64Var(&o.faultSeed, "fault-seed", 1, "fault plan seed (only with -fault-rate > 0)")
+	fs.BoolVar(&o.metrics, "metrics", false, "sample the metrics registry live and print the final snapshot")
+	fs.Int64Var(&o.metricsEvery, "metrics-every", 10000, "sampling period for -metrics, in virtual cycles")
+	fs.IntVar(&o.kernels, "kernels", 1, "fleet size: shard the sessions across this many independent kernels")
+	fs.IntVar(&o.migrateEvery, "migrate-every", 0, "live-migrate every session after every K bursts (needs -kernels > 1)")
+	fs.StringVar(&o.store, "store", "", "journal file for the durable backing store; empty keeps the volatile store")
+	fs.IntVar(&o.ckptEvery, "checkpoint-every", 0, "checkpoint after every K steps (needs -store)")
+	fs.BoolVar(&o.restore, "restore", false, "resume from the last checkpoint in -store instead of booting fresh")
+	fs.StringVar(&o.scenario, "scenario", "", "persona scenario name; empty replays the classic flat storm")
+	fs.StringVar(&o.mix, "mix", "", "persona weights for -scenario, e.g. editor=3,compiler=2 (default "+defaultMix+")")
+	fs.StringVar(&o.arrival, "arrival", "", "arrival model for -scenario: closed (default) or open[:GAP]")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write an allocation profile of the run to this file")
+	if err := fs.Parse(args); err != nil {
+		return options{}, err
 	}
-	flag.Visit(func(f *flag.Flag) {
+	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "fault-seed":
 			o.faultSeedSet = true
@@ -298,62 +299,84 @@ func main() {
 			o.shapeSet = true
 		}
 	})
-	if err := validate(o); err != nil {
+	return o, nil
+}
+
+func main() {
+	o, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err == nil {
+		err = validate(o)
+	}
+	if err != nil {
 		cliutil.Exit2("loadgen", err)
 	}
+	stop, err := cliutil.StartProfiles(o.cpuProfile, o.memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
+		os.Exit(1)
+	}
+	code := run(o)
+	if err := stop(); err != nil {
+		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
+		code = 1
+	}
+	os.Exit(code)
+}
 
-	sc := buildScenario(o, *seed)
+// run replays the configured workload and returns the exit status.
+func run(o options) int {
+	sc := buildScenario(o)
 
 	if o.store != "" {
 		if o.faultRate > 0 {
-			spec := faults.UniformSpec(*faultSeed, o.faultRate, 0)
+			spec := faults.UniformSpec(o.faultSeed, o.faultRate, 0)
 			sc.Faults(&spec)
 		}
 		if err := runDurable(o, sc); err != nil {
 			fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
-	if *kernels > 1 {
+	if o.kernels > 1 {
 		// Fleet path: shard the same scripts across independent kernels.
 		// Memory per member is scaled as workload.Boot scales it, since
 		// routing imbalance can land most sessions on one kernel.
-		frames := 4 * *n
+		frames := 4 * o.n
 		if frames < 4096 {
 			frames = 4096
 		}
 		f, err := fleet.New(fleet.Config{
-			Kernels: *kernels, Stage: multics.Stage(*stage), StageSet: true,
-			Workers: 8, MaxConns: *n, MemFrames: frames,
-			FaultRate: *faultRate, FaultSeed: *faultSeed,
+			Kernels: o.kernels, Stage: multics.Stage(o.stage), StageSet: true,
+			Workers: 8, MaxConns: o.n, MemFrames: frames,
+			FaultRate: o.faultRate, FaultSeed: o.faultSeed,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "loadgen: fleet boot: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
-		rep, err := fleet.Run(f, fleet.RunConfig{Scenario: sc, MigrateEvery: *migrateEvery})
+		rep, err := fleet.Run(f, fleet.RunConfig{Scenario: sc, MigrateEvery: o.migrateEvery})
 		f.Close()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "loadgen: fleet run: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
-		fmt.Printf("--- fleet of %d kernels (stage S%d)\n%s", *kernels, *stage, rep.Format())
-		return
+		fmt.Printf("--- fleet of %d kernels (stage S%d)\n%s", o.kernels, o.stage, rep.Format())
+		return 0
 	}
 
-	if *faultRate > 0 {
-		spec := faults.UniformSpec(*faultSeed, *faultRate, 0)
+	if o.faultRate > 0 {
+		spec := faults.UniformSpec(o.faultSeed, o.faultRate, 0)
 		sc.Faults(&spec)
 	}
 
-	sys, err := workload.Boot(multics.Stage(*stage), sc)
+	sys, err := workload.Boot(multics.Stage(o.stage), sc)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "loadgen: boot: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
-	if *showMetrics {
+	if o.metrics {
 		// Live reporting: every sample the sampler emits becomes one
 		// delta line on stderr as the run progresses.
 		live := trace.SinkFunc(func(ev trace.Event) {
@@ -361,16 +384,16 @@ func main() {
 				fmt.Fprintf(os.Stderr, "loadgen: [metrics @%d] %s\n", ev.At, ev.Detail)
 			}
 		})
-		sys.Kernel.EnableMetricsSampler(*metricsEvery, live)
+		sys.Kernel.EnableMetricsSampler(o.metricsEvery, live)
 	}
 	rep, err := workload.Run(sys, sc)
 	if err != nil {
 		sys.Shutdown()
 		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
-	fmt.Printf("--- stage S%d\n%s", *stage, rep.Format())
-	if *showMetrics {
+	fmt.Printf("--- stage S%d\n%s", o.stage, rep.Format())
+	if o.metrics {
 		svc := sys.Kernel.Services()
 		if s := sys.Kernel.Sampler(); s != nil {
 			s.Flush(svc.Clock.Now())
@@ -379,17 +402,18 @@ func main() {
 	}
 	sys.Shutdown()
 
-	if *compare {
+	if o.compare {
 		legacy, err := workload.RunAt(multics.StageBaseline, sc)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "loadgen: legacy run: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Printf("--- stage S0 (legacy drivers, same scripts)\n%s", legacy.Format())
 		fmt.Printf("--- storm verdict: legacy lost %d of %d; S%d lost %d of %d\n",
 			legacy.Stats.InputLost+legacy.Stats.ReplyLost, legacy.Sent,
-			*stage, rep.Stats.InputLost+rep.Stats.ReplyLost, rep.Sent)
+			o.stage, rep.Stats.InputLost+rep.Stats.ReplyLost, rep.Sent)
 	}
+	return 0
 }
 
 // Manifest Meta keys the durable path stashes so -restore can resume the

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"flag"
+	"io"
 	"strings"
 	"testing"
 
@@ -15,6 +17,55 @@ func good() options {
 		par: 1, stage: int(core.S6Restructured),
 		metricsEvery: 10000,
 		kernels:      1,
+	}
+}
+
+func newFlagSet() *flag.FlagSet {
+	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	return fs
+}
+
+func TestParseFlagsDefaults(t *testing.T) {
+	o, err := parseFlags(newFlagSet(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := good()
+	want.seed, want.faultSeed = 75, 1
+	if o != want {
+		t.Fatalf("defaults parsed as %+v, want %+v", o, want)
+	}
+}
+
+func TestParseFlagsProfiles(t *testing.T) {
+	o, err := parseFlags(newFlagSet(), []string{
+		"-n", "8", "-seed", "3", "-cpuprofile", "cpu.out", "-memprofile", "mem.out",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.cpuProfile != "cpu.out" || o.memProfile != "mem.out" {
+		t.Errorf("profile paths parsed as %q, %q", o.cpuProfile, o.memProfile)
+	}
+	if o.n != 8 || o.seed != 3 {
+		t.Errorf("-n/-seed parsed as %d/%d", o.n, o.seed)
+	}
+	if err := validate(o); err != nil {
+		t.Errorf("profiled run rejected: %v", err)
+	}
+	if _, err := parseFlags(newFlagSet(), []string{"-cpuprofile"}); err == nil {
+		t.Error("-cpuprofile without a path accepted")
+	}
+}
+
+func TestParseFlagsRecordsExplicitFlags(t *testing.T) {
+	o, err := parseFlags(newFlagSet(), []string{"-fault-seed", "1", "-steps", "24"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !o.faultSeedSet || !o.shapeSet {
+		t.Errorf("explicit flags at their default values not recorded: %+v", o)
 	}
 }
 

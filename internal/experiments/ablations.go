@@ -47,13 +47,9 @@ func policyDecisionCost(rounds int) (inKernel, ringSeparated int64, gateCallsPer
 	clockA := machine.NewClock()
 	inPol := pagectl.NewClockPolicy(storeA)
 	const examineCost = 1
+	var cands []mem.Frame
 	for i := 0; i < rounds; i++ {
-		cands := make([]mem.Frame, 0, 16)
-		for _, f := range storeA.Frames() {
-			if !f.Free && !f.Wired {
-				cands = append(cands, f)
-			}
-		}
+		cands = storeA.AppendEvictable(cands[:0])
 		clockA.Advance(int64(len(cands)) * examineCost)
 		if _, err := inPol.ChooseVictim(cands); err != nil {
 			panic(err)

@@ -105,13 +105,11 @@ func E7PolicyFaultInjection() Report {
 			panic(err)
 		}
 	}
-	// Wire two frames (kernel pages) so the policy has privileged targets.
-	for _, f := range store.Frames() {
-		if !f.Free {
-			if err := store.Wire(f.ID, true); err != nil {
-				panic(err)
-			}
-			break
+	// Wire the first occupied frame (a kernel page) so the policy has a
+	// privileged target.
+	if cands := store.AppendEvictable(nil); len(cands) > 0 {
+		if err := store.Wire(cands[0].ID, true); err != nil {
+			panic(err)
 		}
 	}
 	var log policy.AttackLog

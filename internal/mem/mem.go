@@ -890,6 +890,23 @@ func (s *Store) Frames() []Frame {
 	return out
 }
 
+// AppendEvictable appends the occupied, unwired frames to dst in frame-ID
+// order and returns the extended slice: the replacement candidates, without
+// copying the whole frame table. Like Frames, the result is per-frame
+// consistent, not globally atomic.
+func (s *Store) AppendEvictable(dst []Frame) []Frame {
+	for i := range s.frames {
+		fi := i & stripeMask
+		s.frameMu[fi].Lock()
+		fr := &s.frames[i]
+		if !fr.free && !fr.wired {
+			dst = append(dst, Frame{ID: FrameID(i), PID: fr.pid, Used: fr.used, Modified: fr.modified})
+		}
+		s.frameMu[fi].Unlock()
+	}
+	return dst
+}
+
 // Block gives page-control read access to bulk-store block metadata.
 type Block struct {
 	ID   BlockID
@@ -909,6 +926,25 @@ func (s *Store) Blocks() []Block {
 		s.blockMu[bi].Unlock()
 	}
 	return out
+}
+
+// LowestBulkBlock returns the occupied bulk-store block holding the lowest
+// (SegUID, Index) page, scanning the block table in place; ties go to the
+// lowest block ID. ok is false when every block is free. Like Blocks, the
+// scan is per-block consistent, not globally atomic.
+func (s *Store) LowestBulkBlock() (id BlockID, ok bool) {
+	var best PageID
+	for i := range s.blocks {
+		bi := i & stripeMask
+		s.blockMu[bi].Lock()
+		bl := &s.blocks[i]
+		if !bl.free && (!ok || bl.pid.SegUID < best.SegUID ||
+			(bl.pid.SegUID == best.SegUID && bl.pid.Index < best.Index)) {
+			id, best, ok = BlockID(i), bl.pid, true
+		}
+		s.blockMu[bi].Unlock()
+	}
+	return id, ok
 }
 
 // ResetUsage clears the referenced bit of frame f (clock-algorithm support).

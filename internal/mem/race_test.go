@@ -2,6 +2,7 @@ package mem
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -44,7 +45,7 @@ func TestConcurrentStoreHammer(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	errCh := make(chan error, workers+1)
+	errCh := make(chan error, workers+2)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -95,11 +96,28 @@ func TestConcurrentStoreHammer(t *testing.T) {
 	}
 
 	// A dedicated evictor imitates the parallel pager: scan frames, push
-	// them down the hierarchy, tolerate every race outcome.
+	// them down the hierarchy, tolerate every race outcome. Odd rounds
+	// pick victims the way page control does, scanning the tables in
+	// place with AppendEvictable and LowestBulkBlock.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		var cands []Frame
 		for round := 0; round < 200; round++ {
+			if round%2 == 1 {
+				cands = s.AppendEvictable(cands[:0])
+				for _, fr := range cands {
+					_, _, _ = s.EvictToBulk(fr.ID) // any race outcome is fine
+				}
+				for i := 0; i < 16; i++ {
+					b, ok := s.LowestBulkBlock()
+					if !ok {
+						break
+					}
+					_, _ = s.BulkToDisk(b) // the block may have raced away
+				}
+				continue
+			}
 			for _, fr := range s.Frames() {
 				if fr.Free || fr.Wired {
 					continue
@@ -123,6 +141,28 @@ func TestConcurrentStoreHammer(t *testing.T) {
 						continue // "block is free": lost the race after snapshot
 					}
 				}
+			}
+		}
+	}()
+
+	// A scanner runs the in-place victim scans beside all of the above;
+	// each frame is read under its own stripe, so the result is in
+	// frame-ID order with no duplicates and nothing free or wired.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var cands []Frame
+		for round := 0; round < 400; round++ {
+			cands = s.AppendEvictable(cands[:0])
+			for i, fr := range cands {
+				if fr.Free || fr.Wired || (i > 0 && fr.ID <= cands[i-1].ID) {
+					errCh <- fmt.Errorf("AppendEvictable: bad candidate %d of %v", i, cands)
+					return
+				}
+			}
+			if b, ok := s.LowestBulkBlock(); ok && (b < 0 || int(b) >= cfg.BulkBlocks) {
+				errCh <- fmt.Errorf("LowestBulkBlock: block %d out of range", b)
+				return
 			}
 		}
 	}()

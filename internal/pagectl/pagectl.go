@@ -33,23 +33,15 @@ import (
 // policy/mechanism ring split of internal/policy possible.
 type VictimPolicy interface {
 	// ChooseVictim picks a frame from candidates (all occupied, unwired).
-	// It must return one of the candidate IDs.
+	// It must return one of the candidate IDs. candidates is only borrowed
+	// for the call: the pager reuses its backing array for the next
+	// eviction, so an implementation must not keep the slice (or a
+	// subslice of it) after it returns.
 	ChooseVictim(candidates []mem.Frame) (mem.FrameID, error)
 }
 
 // ErrNoVictim is returned when no frame can be evicted (all wired or free).
 var ErrNoVictim = errors.New("pagectl: no evictable frame")
-
-// evictionCandidates lists occupied, unwired frames.
-func evictionCandidates(store *mem.Store) []mem.Frame {
-	var out []mem.Frame
-	for _, f := range store.Frames() {
-		if !f.Free && !f.Wired {
-			out = append(out, f)
-		}
-	}
-	return out
-}
 
 // ClockPolicy is the default replacement policy: a second-chance clock over
 // the frame table.
@@ -194,6 +186,8 @@ type SequentialPager struct {
 	policy VictimPolicy
 	stats  FaultStats
 	pm     pagerMetrics
+	// cands is the reusable eviction-candidate buffer; see chooseVictim.
+	cands []mem.Frame
 }
 
 // SetMetrics publishes fault handling into reg under pagectl.* names; nil
@@ -273,7 +267,7 @@ const maxEvictAttempts = 64
 // steal what this one freed, hence the retry structure.
 func (s *SequentialPager) evictOne(pc *sched.ProcCtx) error {
 	for attempt := 0; attempt < maxEvictAttempts; attempt++ {
-		victim, err := s.policy.ChooseVictim(evictionCandidates(s.store))
+		victim, err := s.chooseVictim()
 		if err != nil {
 			return err
 		}
@@ -306,24 +300,27 @@ func (s *SequentialPager) evictOne(pc *sched.ProcCtx) error {
 	return errors.New("pagectl(sequential): eviction starved by competing faulters")
 }
 
+// chooseVictim runs the policy over the occupied, unwired frames, gathered
+// into the pager's reusable buffer. Several faulting processes can be
+// evicting at once, and a policy that blocks would let another one in
+// mid-choice, so the buffer is detached while the policy borrows it: a
+// concurrent caller finds nil and allocates its own, and the common path
+// allocates nothing.
+func (s *SequentialPager) chooseVictim() (mem.FrameID, error) {
+	cands := s.store.AppendEvictable(s.cands[:0])
+	s.cands = nil
+	victim, err := s.policy.ChooseVictim(cands)
+	s.cands = cands
+	return victim, err
+}
+
 // pickBulkVictim selects an occupied bulk block to push to disk: the block
 // holding the lowest-numbered page, which is deterministic and, because
 // page-ins recycle blocks, approximates oldest-first.
 func pickBulkVictim(store *mem.Store) (mem.BlockID, error) {
-	var best mem.BlockID
-	var bestPID mem.PageID
-	found := false
-	for _, bl := range store.Blocks() {
-		if bl.Free {
-			continue
-		}
-		if !found || bl.PID.SegUID < bestPID.SegUID ||
-			(bl.PID.SegUID == bestPID.SegUID && bl.PID.Index < bestPID.Index) {
-			best, bestPID, found = bl.ID, bl.PID, true
-		}
-	}
-	if !found {
+	b, ok := store.LowestBulkBlock()
+	if !ok {
 		return 0, errors.New("pagectl: bulk store reported full but no occupied block found")
 	}
-	return best, nil
+	return b, nil
 }

@@ -242,7 +242,7 @@ func TestClockPolicySecondChance(t *testing.T) {
 	pol := NewClockPolicy(store)
 	// First choice sweeps: all frames recently used, so the hand clears
 	// bits and eventually picks one.
-	v1, err := pol.ChooseVictim(evictionCandidates(store))
+	v1, err := pol.ChooseVictim(store.AppendEvictable(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestClockPolicySecondChance(t *testing.T) {
 	if _, err := store.ReadWord(v1, 0); err != nil {
 		t.Fatal(err)
 	}
-	v2, err := pol.ChooseVictim(evictionCandidates(store))
+	v2, err := pol.ChooseVictim(store.AppendEvictable(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

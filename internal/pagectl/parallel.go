@@ -68,6 +68,9 @@ type ParallelPager struct {
 
 	stats FaultStats
 	pm    pagerMetrics
+	// cands is the core-freeing process's reusable eviction-candidate
+	// buffer; that process is its only user.
+	cands []mem.Frame
 	// KernelEvictions counts evictions performed by the dedicated
 	// processes (work moved *out* of the faulting path).
 	KernelEvictions int64
@@ -118,7 +121,8 @@ func (p *ParallelPager) Stats() FaultStats { return p.stats }
 func (p *ParallelPager) coreFreeingBody(pc *sched.ProcCtx) {
 	for {
 		for p.store.FreeFrameCount() < p.cfg.CoreTarget {
-			victim, err := p.policy.ChooseVictim(evictionCandidates(p.store))
+			p.cands = p.store.AppendEvictable(p.cands[:0])
+			victim, err := p.policy.ChooseVictim(p.cands)
 			if err != nil {
 				// Nothing evictable right now; wait for the situation to
 				// change rather than spin.

@@ -191,6 +191,7 @@ func BenchmarkE6CircularBuffer(b *testing.B) {
 // BenchmarkE6InfiniteBuffer measures the same workload on the VM-backed
 // buffer.
 func BenchmarkE6InfiniteBuffer(b *testing.B) {
+	b.ReportAllocs()
 	var lost float64
 	for i := 0; i < b.N; i++ {
 		cfg := mem.DefaultConfig()

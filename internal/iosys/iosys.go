@@ -117,103 +117,74 @@ const wordsPerMessage = 2
 // free pools (mem.Store.Discard) once the logical start passes them, so
 // storage management is exactly the standard page machinery.
 //
+// Each message costs one word-transfer call into the store (two when it
+// straddles a page boundary), which grows the segment, pages the frame in
+// on demand and copies the words under one segment lock.
+//
 // Put, Get, Len, Lost and PagesUsed are serialized by the buffer's lock,
 // which orders the operations of one buffer. The underlying *mem.Store is
 // itself safe for concurrent use (lock-striped), so buffers over the same
-// store may use private locks; NewSharedInfiniteBuffer remains for callers
-// that want a family of buffers serialized as a unit.
+// store need no common lock.
 type InfiniteBuffer struct {
-	mu    sync.Locker
-	store *mem.Store
-	uid   uint64
-	head  int // next message index to write
-	tail  int // next message index to read
+	mu        sync.Mutex
+	store     *mem.Store
+	uid       uint64
+	pageWords int
+	// length is the segment length in words the buffer has grown to: the
+	// end of the furthest message Put has stored.
+	length int
+	head   int // next message index to write
+	tail   int // next message index to read
 	// trimmed is the first page index not yet returned to the free pools;
 	// every page below it has been fully consumed and discarded.
 	trimmed int
 }
 
 // NewInfiniteBuffer creates the VM-backed buffer over segment uid, which it
-// creates in store. The buffer gets a private lock serializing its own
-// operations; the store tolerates other concurrent users.
+// creates in store. The buffer's lock serializes its own operations; the
+// store tolerates other concurrent users.
 func NewInfiniteBuffer(store *mem.Store, uid uint64) (*InfiniteBuffer, error) {
-	return NewSharedInfiniteBuffer(store, uid, &sync.Mutex{})
-}
-
-// NewSharedInfiniteBuffer creates the VM-backed buffer over segment uid with
-// an externally supplied lock. All buffers sharing one store must share one
-// lock, since every buffer operation reads and writes store state.
-func NewSharedInfiniteBuffer(store *mem.Store, uid uint64, mu sync.Locker) (*InfiniteBuffer, error) {
-	if mu == nil {
-		return nil, errors.New("iosys: nil lock for infinite buffer")
-	}
 	if _, err := store.CreateSegment(uid, 0); err != nil {
 		return nil, fmt.Errorf("iosys: creating buffer segment: %w", err)
 	}
-	return &InfiniteBuffer{mu: mu, store: store, uid: uid}, nil
+	return &InfiniteBuffer{store: store, uid: uid, pageWords: store.Config().PageWords}, nil
 }
 
 func (b *InfiniteBuffer) wordOf(msgIndex int) int { return msgIndex * wordsPerMessage }
 
-// writeWord stores one word, paging the frame in on demand (the buffer IS
-// the virtual memory).
-// pageRetryLimit bounds the buffer's page-in retries on transient
-// conditions — an injected backing-store I/O error (mem.ErrIO) or a
-// frame raced away mid-transfer (mem.ErrBusy). Buffers run outside any
-// process context, so the retry is immediate rather than backed off;
+// pageRetryLimit bounds the buffer's retries of one page transfer on
+// transient conditions — an injected backing-store I/O error (mem.ErrIO)
+// or a frame raced away mid-transfer (mem.ErrBusy). Buffers run outside
+// any process context, so the retry is immediate rather than backed off;
 // the bound converts a persistent fault into an error for the caller.
 const pageRetryLimit = 8
 
-// pageInRetry is store.PageIn with bounded retry on transient errors.
-func (b *InfiniteBuffer) pageInRetry(pid mem.PageID) error {
-	var err error
-	for attempt := 0; attempt < pageRetryLimit; attempt++ {
-		if _, _, err = b.store.PageIn(pid); err == nil {
-			return nil
+// transfer moves one message's words at word offset off between words and
+// the segment, one store call per page the message touches (the buffer IS
+// the virtual memory: pages materialize on demand). A write first grows
+// the segment to minLength.
+func (b *InfiniteBuffer) transfer(off int, words []uint64, minLength int, write bool) error {
+	for len(words) > 0 {
+		pid := mem.PageID{SegUID: b.uid, Index: off / b.pageWords}
+		po := off % b.pageWords
+		n := min(len(words), b.pageWords-po)
+		var err error
+		for attempt := 0; attempt < pageRetryLimit; attempt++ {
+			if write {
+				err = b.store.WriteWords(pid, po, words[:n], minLength)
+			} else {
+				err = b.store.ReadWords(pid, po, words[:n])
+			}
+			if err == nil || (!errors.Is(err, mem.ErrIO) && !errors.Is(err, mem.ErrBusy)) {
+				break
+			}
 		}
-		if !errors.Is(err, mem.ErrIO) && !errors.Is(err, mem.ErrBusy) {
-			return err
-		}
-	}
-	return err
-}
-
-func (b *InfiniteBuffer) writeWord(off int, val uint64) error {
-	pw := b.store.Config().PageWords
-	pid := mem.PageID{SegUID: b.uid, Index: off / pw}
-	loc, err := b.store.Locate(pid)
-	if err != nil {
-		return err
-	}
-	if loc.Level != mem.LevelCore {
-		if err := b.pageInRetry(pid); err != nil {
-			return err
-		}
-		loc, err = b.store.Locate(pid)
 		if err != nil {
 			return err
 		}
+		words, off = words[n:], off+n
 	}
-	return b.store.WriteWord(loc.Frame, off%pw, val)
-}
-
-func (b *InfiniteBuffer) readWord(off int) (uint64, error) {
-	pw := b.store.Config().PageWords
-	pid := mem.PageID{SegUID: b.uid, Index: off / pw}
-	loc, err := b.store.Locate(pid)
-	if err != nil {
-		return 0, err
-	}
-	if loc.Level != mem.LevelCore {
-		if err := b.pageInRetry(pid); err != nil {
-			return 0, err
-		}
-		loc, err = b.store.Locate(pid)
-		if err != nil {
-			return 0, err
-		}
-	}
-	return b.store.ReadWord(loc.Frame, off%pw)
+	return nil
 }
 
 // Put implements Buffer: grow the segment and append; nothing is ever
@@ -221,21 +192,13 @@ func (b *InfiniteBuffer) readWord(off int) (uint64, error) {
 func (b *InfiniteBuffer) Put(m Message) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	needWords := b.wordOf(b.head) + wordsPerMessage
-	sp, ok := b.store.Segment(b.uid)
-	if !ok {
-		return fmt.Errorf("iosys: buffer segment %#x vanished", b.uid)
-	}
-	if sp.Length() < needWords {
-		if err := b.store.SetLength(b.uid, needWords); err != nil {
-			return err
-		}
-	}
 	off := b.wordOf(b.head)
-	if err := b.writeWord(off, m.Seq); err != nil {
-		return err
-	}
-	if err := b.writeWord(off+1, m.Data); err != nil {
+	need := off + wordsPerMessage
+	// The store grows the segment before it pages anything in, so the
+	// length stands even when the transfer then fails.
+	b.length = max(b.length, need)
+	words := [wordsPerMessage]uint64{m.Seq, m.Data}
+	if err := b.transfer(off, words[:], need, true); err != nil {
 		return err
 	}
 	b.head++
@@ -249,18 +212,13 @@ func (b *InfiniteBuffer) Get() (Message, bool, error) {
 	if b.tail == b.head {
 		return Message{}, false, nil
 	}
-	off := b.wordOf(b.tail)
-	seq, err := b.readWord(off)
-	if err != nil {
-		return Message{}, false, err
-	}
-	data, err := b.readWord(off + 1)
-	if err != nil {
+	var words [wordsPerMessage]uint64
+	if err := b.transfer(b.wordOf(b.tail), words[:], 0, false); err != nil {
 		return Message{}, false, err
 	}
 	b.tail++
 	b.trim()
-	return Message{Seq: seq, Data: data}, true, nil
+	return Message{Seq: words[0], Data: words[1]}, true, nil
 }
 
 // trim returns fully-consumed pages to the free pools. When the buffer
@@ -268,7 +226,7 @@ func (b *InfiniteBuffer) Get() (Message, bool, error) {
 // next page boundary so the partially-consumed current page can be released
 // too: an idle buffer holds no storage at all. Called with the lock held.
 func (b *InfiniteBuffer) trim() {
-	pw := b.store.Config().PageWords
+	pw := b.pageWords
 	if b.tail == b.head && pw%wordsPerMessage == 0 && b.wordOf(b.tail)%pw != 0 {
 		next := ((b.wordOf(b.tail) + pw - 1) / pw) * pw / wordsPerMessage
 		b.head, b.tail = next, next
@@ -297,15 +255,7 @@ func (b *InfiniteBuffer) Lost() int64 { return 0 }
 func (b *InfiniteBuffer) PagesUsed() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	sp, ok := b.store.Segment(b.uid)
-	if !ok {
-		return 0
-	}
-	n := sp.NumPages(b.store.Config().PageWords) - b.trimmed
-	if n < 0 {
-		return 0
-	}
-	return n
+	return max((b.length+b.pageWords-1)/b.pageWords-b.trimmed, 0)
 }
 
 // DeviceClass names one class of external I/O device the old configuration

@@ -237,13 +237,6 @@ func (s *SegmentPages) Length() int {
 	return s.length
 }
 
-// NumPages returns how many pages the segment spans.
-func (s *SegmentPages) NumPages(pageWords int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return (s.length + pageWords - 1) / pageWords
-}
-
 // NewStore returns an empty hierarchy.
 func NewStore(cfg Config) (*Store, error) {
 	if err := cfg.validate(); err != nil {
@@ -527,7 +520,9 @@ func (s *Store) takeBlock(pid PageID) (BlockID, bool) {
 }
 
 // releaseFrame clears frame metadata and returns the frame to its free-list
-// shard. The caller must not hold the frame's stripe.
+// shard. The frame keeps its page memory: the page is gone, so nothing else
+// can hold the slice, and the next zero-fill of this frame clears and reuses
+// it (installZero). The caller must not hold the frame's stripe.
 func (s *Store) releaseFrame(f FrameID) {
 	s.frameMu[int(f)&stripeMask].Lock()
 	fr := &s.frames[f]
@@ -535,7 +530,7 @@ func (s *Store) releaseFrame(f FrameID) {
 		s.frameMu[int(f)&stripeMask].Unlock()
 		return
 	}
-	*fr = frame{free: true}
+	*fr = frame{free: true, data: fr.data}
 	s.frameMu[int(f)&stripeMask].Unlock()
 	putFree(&s.freeFrames, int(f))
 }
@@ -591,10 +586,27 @@ func (s *Store) materializeZeroLocked(sp *SegmentPages, pid PageID) (FrameID, er
 	if !ok {
 		return 0, ErrNoFreeFrame
 	}
-	s.installFrame(f, pid, make([]uint64, s.cfg.PageWords))
+	s.installZero(f, pid)
 	sp.pages[pid.Index] = Location{Level: LevelCore, Frame: f}
 	s.zeroFills.Inc()
 	return f, nil
+}
+
+// installZero publishes a zero-filled page into a freshly allocated frame,
+// reusing the page memory a released frame kept. The clear is the
+// object-reuse guarantee: a recycled frame never shows its last owner's
+// words.
+func (s *Store) installZero(f FrameID, pid PageID) {
+	s.frameMu[int(f)&stripeMask].Lock()
+	fr := &s.frames[f]
+	data := fr.data
+	if len(data) == s.cfg.PageWords {
+		clear(data)
+	} else {
+		data = make([]uint64, s.cfg.PageWords)
+	}
+	*fr = frame{pid: pid, data: data, used: true}
+	s.frameMu[int(f)&stripeMask].Unlock()
 }
 
 // installFrame publishes page data into a freshly allocated frame.
@@ -616,6 +628,12 @@ func (s *Store) PageIn(pid PageID) (FrameID, int64, error) {
 	if sp.deleted {
 		return 0, 0, fmt.Errorf("mem: segment %#x does not exist", pid.SegUID)
 	}
+	return s.pageInLocked(sp, pid)
+}
+
+// pageInLocked is PageIn with the segment lock held. A core-resident page
+// costs nothing and never consults the fault hook.
+func (s *Store) pageInLocked(sp *SegmentPages, pid PageID) (FrameID, int64, error) {
 	loc, ok := sp.pages[pid.Index]
 	if !ok {
 		if err := s.checkIO(OpMaterialize, pid); err != nil {
@@ -688,8 +706,9 @@ func (s *Store) peekFrame(f FrameID) (PageID, error) {
 }
 
 // stripFrame re-verifies frame f still holds pid and is evictable, then
-// frees it and returns the page data. Caller holds the segment lock of
-// pid's segment.
+// frees it and returns the page data. The data leaves with the page (to a
+// bulk block or the backing store), so the freed frame keeps no slice.
+// Caller holds the segment lock of pid's segment.
 func (s *Store) stripFrame(f FrameID, pid PageID) ([]uint64, error) {
 	fi := int(f) & stripeMask
 	s.frameMu[fi].Lock()
@@ -1011,5 +1030,61 @@ func (s *Store) WriteWord(f FrameID, off int, val uint64) error {
 	fr.used = true
 	fr.modified = true
 	fr.data[off] = val
+	return nil
+}
+
+// ReadWords copies len(dst) words of page pid, starting at word off, into
+// dst: one segment lookup and one frame-stripe lock for the whole run. A
+// page not in core is brought in first exactly as PageIn would, consulting
+// the fault hook, so an injected ErrIO leaves the store unchanged and the
+// call is safe to retry.
+func (s *Store) ReadWords(pid PageID, off int, dst []uint64) error {
+	return s.transferWords(pid, off, dst, 0, false)
+}
+
+// WriteWords copies src into page pid starting at word off, first growing
+// the segment to at least minLength words. It is ReadWords' write twin and
+// marks the page modified.
+func (s *Store) WriteWords(pid PageID, off int, src []uint64, minLength int) error {
+	return s.transferWords(pid, off, src, minLength, true)
+}
+
+// transferWords is the body of ReadWords and WriteWords. The segment lock
+// pins the page in its frame for the whole copy, so the words can never
+// land in a frame that was evicted or reused between locating and copying.
+func (s *Store) transferWords(pid PageID, off int, buf []uint64, minLength int, write bool) error {
+	if off < 0 || off+len(buf) > s.cfg.PageWords {
+		return fmt.Errorf("mem: words [%d,%d) outside a %d-word page", off, off+len(buf), s.cfg.PageWords)
+	}
+	sp, ok := s.seg(pid.SegUID)
+	if !ok {
+		return fmt.Errorf("mem: segment %#x does not exist", pid.SegUID)
+	}
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	if sp.deleted {
+		return fmt.Errorf("mem: segment %#x does not exist", pid.SegUID)
+	}
+	if sp.length < minLength {
+		sp.length = minLength
+	}
+	f, _, err := s.pageInLocked(sp, pid)
+	if err != nil {
+		return err
+	}
+	fi := int(f) & stripeMask
+	s.frameMu[fi].Lock()
+	defer s.frameMu[fi].Unlock()
+	fr := &s.frames[f]
+	if fr.free || fr.pid != pid {
+		return fmt.Errorf("%w (frame %d)", ErrBusy, f)
+	}
+	fr.used = true
+	if write {
+		fr.modified = true
+		copy(fr.data[off:], buf)
+	} else {
+		copy(buf, fr.data[off:])
+	}
 	return nil
 }

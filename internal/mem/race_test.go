@@ -3,6 +3,7 @@ package mem
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -13,10 +14,12 @@ import (
 // lists); now it must pass both plain and with -race, and the frame pool
 // must be conserved afterwards.
 //
-// Each worker does word I/O only on its private segment (a frame observed
-// through a private page table cannot be raced away by another worker); the
-// shared segment exercises cross-goroutine page-table contention with
-// transitions only.
+// Frame-addressed word I/O (ReadWord/WriteWord) runs only on each worker's
+// private segment (a frame observed through a private page table cannot be
+// raced away by another worker). The page-addressed word transfers
+// (WriteWords/ReadWords) run on the shared segment, beside evictions and
+// other workers' discards, and on a churn segment that a dedicated
+// goroutine keeps deleting and re-creating.
 func TestConcurrentStoreHammer(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PageWords = 8
@@ -28,9 +31,12 @@ func TestConcurrentStoreHammer(t *testing.T) {
 		workers   = 8
 		iters     = 400
 		sharedUID = uint64(99)
+		churnUID  = uint64(98)
 	)
-	if _, err := s.CreateSegment(sharedUID, 1024); err != nil {
-		t.Fatal(err)
+	for _, uid := range []uint64{sharedUID, churnUID} {
+		if _, err := s.CreateSegment(uid, 1024); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for w := 0; w < workers; w++ {
 		if _, err := s.CreateSegment(uint64(w+1), 1024); err != nil {
@@ -44,8 +50,35 @@ func TestConcurrentStoreHammer(t *testing.T) {
 			errors.Is(err, ErrBusy)
 	}
 
+	// A word transfer also tolerates losing its segment to the churner.
+	transferOK := func(err error) bool {
+		return tolerable(err) || strings.Contains(err.Error(), "does not exist")
+	}
+	// roundTrip writes v into the worker's own word of pid and reads it
+	// back. Other goroutines may discard or evict the page in between, so
+	// the read sees v or, after a discard, zero — never another value.
+	roundTrip := func(pid PageID, slot int, v uint64) error {
+		if err := s.WriteWords(pid, slot, []uint64{v}, 0); err != nil {
+			if transferOK(err) {
+				return nil
+			}
+			return err
+		}
+		var got [1]uint64
+		if err := s.ReadWords(pid, slot, got[:]); err != nil {
+			if transferOK(err) {
+				return nil
+			}
+			return err
+		}
+		if got[0] != v && got[0] != 0 {
+			return fmt.Errorf("ReadWords %v word %d = %#x, want %#x or 0", pid, slot, got[0], v)
+		}
+		return nil
+	}
+
 	var wg sync.WaitGroup
-	errCh := make(chan error, workers+2)
+	errCh := make(chan error, workers+3)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -91,9 +124,36 @@ func TestConcurrentStoreHammer(t *testing.T) {
 						return
 					}
 				}
+				v := uint64(w)<<32 | uint64(i) + 1
+				if err := roundTrip(shared, w%cfg.PageWords, v); err != nil {
+					errCh <- err
+					return
+				}
+				churn := PageID{SegUID: churnUID, Index: (w + i) % 8}
+				if err := roundTrip(churn, w%cfg.PageWords, v); err != nil {
+					errCh <- err
+					return
+				}
 			}
 		}(w)
 	}
+
+	// The churner deletes and re-creates the churn segment under the
+	// workers' transfers, releasing its frames for recycling.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for round := 0; round < 200; round++ {
+			if err := s.DeleteSegment(churnUID); err != nil {
+				errCh <- err
+				return
+			}
+			if _, err := s.CreateSegment(churnUID, 0); err != nil {
+				errCh <- err
+				return
+			}
+		}
+	}()
 
 	// A dedicated evictor imitates the parallel pager: scan frames, push
 	// them down the hierarchy, tolerate every race outcome. Odd rounds
@@ -106,8 +166,13 @@ func TestConcurrentStoreHammer(t *testing.T) {
 		for round := 0; round < 200; round++ {
 			if round%2 == 1 {
 				cands = s.AppendEvictable(cands[:0])
-				for _, fr := range cands {
-					_, _, _ = s.EvictToBulk(fr.ID) // any race outcome is fine
+				for i, fr := range cands {
+					// Any race outcome is fine.
+					if i%2 == 0 {
+						_, _, _ = s.EvictToBulk(fr.ID)
+					} else {
+						_, _ = s.EvictToDisk(fr.ID)
+					}
 				}
 				for i := 0; i < 16; i++ {
 					b, ok := s.LowestBulkBlock()

@@ -201,6 +201,10 @@ go build ./...
 echo "== go test -race ./..."
 go test -race ./...
 
+echo "== perfbench module tests (digest equals workload.RunAt, planted faults)"
+# perfbench is its own module, so the root go test ./... never reaches it.
+(cd perfbench && go test ./...)
+
 echo "== bench smoke (go test -bench E14 -benchtime 1x)"
 go test -run '^$' -bench E14 -benchtime 1x .
 

@@ -25,7 +25,7 @@
 // the given mean gap). Persona definitions fix each session's shape,
 // so -steps, -burst and -users do not combine with -scenario. All
 // persona decisions are pure seeded hashes: the transcript digest is
-// byte-identical at any -par and any -kernels count.
+// byte-identical at any -kernels count.
 //
 // With -compare the same scripts are replayed against the pre-S5 legacy
 // per-device drivers (fixed circular buffers, silent overwrites counted
@@ -85,7 +85,7 @@ import (
 // validation below is testable without forking a process.
 type options struct {
 	n, steps, burst, users int
-	par, stage             int
+	stage                  int
 	faultRate              float64
 	// faultSeedSet records whether -fault-seed appeared on the command
 	// line at all (its value is meaningful only with -fault-rate > 0).
@@ -124,7 +124,6 @@ func validate(o options) error {
 		cliutil.AtLeast("steps", o.steps, 1, "one request per session"),
 		cliutil.NonNegative("burst", o.burst),
 		cliutil.NonNegative("users", o.users),
-		cliutil.AtLeast("par", o.par, 1, "one worker"),
 		cliutil.Probability("fault-rate", o.faultRate),
 		cliutil.Rule{Bad: o.faultSeedSet && o.faultRate == 0,
 			Msg: "-fault-seed without -fault-rate > 0: the seed selects a fault plan, but no faults were requested"},
@@ -241,17 +240,15 @@ func parseArrival(s string) (open bool, gap int, err error) {
 }
 
 // buildScenario composes the run's scenario: the classic flat storm
-// (the same scripts workload.Legacy compiles for out-of-tree callers),
-// or a weighted persona mix. validate has already vetted the mix and
-// arrival specs.
+// (one workload.Stormer persona in the requested shape), or a weighted
+// persona mix. validate has already vetted the mix and arrival specs.
 func buildScenario(o options) *workload.Scenario {
 	if o.scenario == "" {
 		return workload.NewScenario("storm", o.seed).
 			Mix(workload.Stormer(o.steps, o.burst, o.users), 1).
-			Sessions(o.n).
-			Parallel(o.par)
+			Sessions(o.n)
 	}
-	sc := workload.NewScenario(o.scenario, o.seed).Sessions(o.n).Parallel(o.par)
+	sc := workload.NewScenario(o.scenario, o.seed).Sessions(o.n)
 	mix, _ := parseMix(o.mix)
 	for _, e := range mix {
 		sc.Mix(e.persona, e.weight)
@@ -271,7 +268,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	fs.IntVar(&o.burst, "burst", 0, "requests fired back-to-back per connection (default: steps)")
 	fs.IntVar(&o.users, "users", 0, "distinct accounts (default: min(n, 8))")
 	fs.Int64Var(&o.seed, "seed", 75, "script generator seed")
-	fs.IntVar(&o.par, "par", 1, "worker goroutines replaying the connections")
 	fs.IntVar(&o.stage, "stage", int(core.S6Restructured), "kernel stage (0..6)")
 	fs.BoolVar(&o.compare, "compare", false, "also replay the same storm on the legacy S0 path")
 	fs.Float64Var(&o.faultRate, "fault-rate", 0, "uniform fault-injection rate in [0, 1]; 0 disables the fault plane")

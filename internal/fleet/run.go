@@ -1,8 +1,6 @@
 package fleet
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"sync"
@@ -15,9 +13,8 @@ import (
 // persona mix and burst schedule are compiled exactly as the
 // single-kernel engine compiles them) plus the migration cadence.
 type RunConfig struct {
-	// Scenario is the workload to replay. Its Parallel/Trace/Faults
-	// settings are ignored — the fleet runner is goroutine-per-session,
-	// and fault plans are per-member (Config.FaultRate). For the
+	// Scenario is the workload to replay. Its Trace/Faults settings are
+	// ignored — fault plans are per-member (Config.FaultRate). For the
 	// classic storm shape use workload.Stormer with Users set to the
 	// session count, so the router spreads principals across kernels
 	// instead of piling one principal's sessions on one member.
@@ -147,88 +144,30 @@ func Run(f *Fleet, cfg RunConfig) (*RunReport, error) {
 		rep.PerKernel[sess.Home()].Sessions++
 	}
 
-	type tally struct {
-		sent, received, throttled int64
-		digest                    [sha256.Size]byte
-		err                       error
-	}
-	tallies := make([]tally, len(sessions))
+	// Each session's goroutine owns its tally and error slot; the fold
+	// below walks them in session order.
+	tallies := make([]workload.Tally, len(sessions))
+	errs := make([]error, len(sessions))
 
 	var wg sync.WaitGroup
 	for i := range sessions {
+		tallies[i] = workload.NewTally()
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			t := &tallies[i]
-			sess, script := sessions[i], scripts[i]
-			h := sha256.New()
-			burstNo := 0
-			for _, w := range plan.Windows[i] {
-				if t.err != nil {
-					break
-				}
-				for s := w.Lo; s < w.Hi; s++ {
-					st := script.Steps[s]
-					err := sess.Conn().Send(st.Op, st.Arg)
-					switch {
-					case err == nil:
-						t.sent++
-					case errors.Is(err, netattach.ErrThrottled):
-						t.throttled++
-					default:
-						t.err = fmt.Errorf("fleet: session %d send %d: %w", i, s, err)
-					}
-				}
-				if t.err != nil {
-					break
-				}
-				if err := sess.Conn().Drain(); err != nil {
-					t.err = fmt.Errorf("fleet: session %d drain: %w", i, err)
-					break
-				}
-				for {
-					v, ok, err := sess.Conn().TryRecv()
-					if err != nil {
-						t.err = fmt.Errorf("fleet: session %d recv: %w", i, err)
-						break
-					}
-					if !ok {
-						break
-					}
-					t.received++
-					fmt.Fprintf(h, "%d %d\n", i, v)
-				}
-				burstNo++
-				if t.err == nil && cfg.MigrateEvery > 0 && n > 1 && burstNo%cfg.MigrateEvery == 0 {
-					target := (sess.Home() + 1) % n
-					if err := sess.Migrate(target); err != nil {
-						// The session fell back to its home kernel and keeps
-						// serving; only a dead fallback kills it (surfaced by
-						// the next send).
-						if errors.Is(err, netattach.ErrReplayMismatch) {
-							t.err = fmt.Errorf("fleet: session %d: %w", i, err)
-							break
-						}
-					}
-				}
-			}
-			copy(t.digest[:], h.Sum(nil))
-			if cerr := sess.Close(); cerr != nil && t.err == nil {
-				t.err = fmt.Errorf("fleet: session %d close: %w", i, cerr)
-			}
+			errs[i] = runSession(sessions[i], scripts[i], plan.Windows[i], &tallies[i], i, n, cfg.MigrateEvery)
 		}(i)
 	}
 	wg.Wait()
 
-	for i := range tallies {
-		t := &tallies[i]
-		if t.err != nil {
+	for i, t := range tallies {
+		if errs[i] != nil {
 			rep.Failed++
 			continue
 		}
-		rep.Sent += t.sent
-		rep.Received += t.received
-		rep.Throttled += t.throttled
+		rep.Sent += t.Sent
+		rep.Received += t.Received
+		rep.Throttled += t.Throttled
 		rep.Migrations += int64(sessions[i].Migrations())
 	}
 
@@ -258,10 +197,44 @@ func Run(f *Fleet, cfg RunConfig) (*RunReport, error) {
 	// order, nothing else — counters, kernel count, and migration
 	// cadence deliberately stay out so the digest compares across them
 	// (and against workload.Report.SessionDigest).
-	h := sha256.New()
-	for i := range tallies {
-		fmt.Fprintf(h, "session %d %x\n", i, tallies[i].digest)
-	}
-	rep.SessionDigest = hex.EncodeToString(h.Sum(nil))
+	rep.SessionDigest = workload.SessionDigest(tallies)
 	return rep, nil
+}
+
+// runSession drives session i through its burst schedule on its own
+// goroutine: fire each burst, drain it, fold the replies into t, and
+// migrate to the next of n kernels after every migrateEvery bursts.
+// The session is closed before runSession returns.
+func runSession(sess *Session, script workload.Script, ws []workload.Window, t *workload.Tally, i, n, migrateEvery int) (err error) {
+	defer func() {
+		if cerr := sess.Close(); cerr != nil && err == nil {
+			err = fmt.Errorf("fleet: session %d close: %w", i, cerr)
+		}
+	}()
+	for burstNo, w := range ws {
+		var sendErr error
+		for s := w.Lo; s < w.Hi; s++ {
+			if err := t.Send(sess.Conn(), script.Steps[s]); err != nil {
+				sendErr = fmt.Errorf("fleet: session %d send %d: %w", i, s, err)
+			}
+		}
+		if sendErr != nil {
+			return sendErr
+		}
+		if err := sess.Conn().Drain(); err != nil {
+			return fmt.Errorf("fleet: session %d drain: %w", i, err)
+		}
+		if err := t.Drain(sess.Conn(), i); err != nil {
+			return fmt.Errorf("fleet: session %d recv: %w", i, err)
+		}
+		if migrateEvery > 0 && n > 1 && (burstNo+1)%migrateEvery == 0 {
+			// A failed migration falls back to the home kernel and keeps
+			// serving; only a dead fallback kills the session (surfaced by
+			// the next send).
+			if err := sess.Migrate((sess.Home() + 1) % n); errors.Is(err, netattach.ErrReplayMismatch) {
+				return fmt.Errorf("fleet: session %d: %w", i, err)
+			}
+		}
+	}
+	return nil
 }

@@ -72,8 +72,6 @@ type Processor struct {
 	// walk; see assoc.go. It is registered with DS for invalidation, so DS
 	// must not be swapped after construction.
 	assoc *AssocMemory
-	// traceFn, when set, observes every call for the audit subsystem.
-	traceFn func(ev TraceEvent)
 	// sink, when set, receives one trace.Event per delivered fault — the
 	// uniform spine hookup shared with sched, netattach, and faults.
 	sink trace.Sink
@@ -90,16 +88,6 @@ type Processor struct {
 	mAssocHits   *metrics.Counter
 	mAssocMisses *metrics.Counter
 	mFaults      *metrics.Counter
-}
-
-// TraceEvent describes one call observed by the processor trace hook.
-type TraceEvent struct {
-	From     Ring
-	To       Ring
-	Seg      SegNo
-	Entry    int
-	Gate     bool
-	CycleNow int64
 }
 
 // NewProcessor returns a processor executing in ring over ds, with an
@@ -145,9 +133,6 @@ func (p *Processor) ResetStats() {
 	p.stats = newStats()
 	p.assoc.ResetStats()
 }
-
-// SetTrace installs fn as the call-trace observer; nil disables tracing.
-func (p *Processor) SetTrace(fn func(ev TraceEvent)) { p.traceFn = fn }
 
 // SetGateSink directs gate trace events from calls on this processor at
 // s, overriding the gate registry's shared trace ring. A nil sink
@@ -454,9 +439,6 @@ func (p *Processor) Call(seg SegNo, entry int, args []uint64) ([]uint64, error) 
 	if viaGate {
 		p.stats.GateCalls++
 		p.Clock.Advance(p.Cost.GateCheck)
-	}
-	if p.traceFn != nil {
-		p.traceFn(TraceEvent{From: p.ring, To: target, Seg: seg, Entry: entry, Gate: viaGate, CycleNow: p.Clock.Now()})
 	}
 
 	caller := p.ring

@@ -138,11 +138,6 @@ type ContentionStats struct {
 	BlockSteals int64 `json:"block_steals"`
 }
 
-// Counters is the historical name of ContentionStats.
-//
-// Deprecated: use ContentionStats.
-type Counters = ContentionStats
-
 type frame struct {
 	free     bool
 	pid      PageID

@@ -11,7 +11,7 @@ import (
 // Only reply-pure operations are offered: echo, sum and spin replies are
 // functions of the connection's own request sequence, and level replies
 // are functions of the session's login level, so any mix keeps the
-// transcript digest parallelism- and kernel-count-invariant. (OpClock is
+// transcript digest kernel-count-invariant. (OpClock is
 // deliberately absent — its reply reads the virtual clock, which would
 // tie the transcript to scheduling order.)
 type OpMix struct {
@@ -63,8 +63,8 @@ type Persona struct {
 	SumMax, SpinMax uint64
 
 	// legacy routes script generation through the historical
-	// seeded stream (see GenScripts), so the Legacy adapter
-	// reproduces pre-scenario transcripts byte-for-byte.
+	// seeded stream (see genScripts), so stormer sessions reproduce
+	// pre-scenario transcripts byte-for-byte.
 	legacy bool
 }
 
@@ -173,7 +173,7 @@ func (p *Persona) clearance() multics.Level {
 // splitmix64 is the pure seeded hash every persona decision derives
 // from: no stateful generator, no shared stream, so any step of any session can
 // be computed independently of every other — the property that keeps
-// schedules and scripts identical at any parallelism and kernel count.
+// schedules and scripts identical at any kernel count.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

@@ -17,12 +17,11 @@ import (
 // Every decision a scenario makes — which session belongs to which
 // persona, what its script says, when each burst fires — is a pure
 // function of the seed, so the compiled Plan and the transcript digests
-// it produces are byte-identical at any Parallelism and kernel count.
+// it produces are byte-identical at any kernel count.
 type Scenario struct {
 	name     string
 	seed     int64
 	sessions int
-	par      int
 	mix      []mixEntry
 	open     bool
 	openGap  int
@@ -40,9 +39,9 @@ type mixEntry struct {
 }
 
 // NewScenario starts a scenario named name, seeded with seed. The
-// default shape is 8 sessions, closed-loop arrival, Parallelism 1.
+// default shape is 8 sessions, closed-loop arrival.
 func NewScenario(name string, seed int64) *Scenario {
-	return &Scenario{name: name, seed: seed, sessions: 8, par: 1}
+	return &Scenario{name: name, seed: seed, sessions: 8}
 }
 
 // Mix adds weight shares of persona p to the scenario. Weights are
@@ -71,12 +70,6 @@ func (sc *Scenario) OpenLoop(meanGap int) *Scenario {
 // itself with its persona's think-time between bursts.
 func (sc *Scenario) ClosedLoop() *Scenario { sc.open, sc.openGap = false, 0; sc.plan = nil; return sc }
 
-// Parallel sets the number of real worker goroutines replaying the
-// sessions. Each session is owned by exactly one worker and every reply
-// is a pure function of its own session's script, so the digest is
-// identical at any setting.
-func (sc *Scenario) Parallel(par int) *Scenario { sc.par = par; return sc }
-
 // Trace tees the front-end's attachment-lifecycle trace stream to sink.
 func (sc *Scenario) Trace(sink trace.Sink) *Scenario { sc.sink = sink; return sc }
 
@@ -94,20 +87,6 @@ func (sc *Scenario) Name() string { return sc.name }
 
 // Seed returns the scenario's seed.
 func (sc *Scenario) Seed() int64 { return sc.seed }
-
-// Legacy adapts the old flat Config onto the scenario API: one stormer
-// persona with exactly the configured shape, closed-loop, whole-script
-// bursts. It reproduces the historical engine behavior — and transcript
-// digests — byte-for-byte, which is what keeps pre-scenario seeds
-// comparable. New callers should compose personas instead.
-func Legacy(cfg Config) *Scenario {
-	// Invalid shapes surface from Plan, exactly as the old engine
-	// surfaced them from setDefaults.
-	_ = cfg.setDefaults()
-	return NewScenario("legacy", cfg.Seed).
-		Mix(Stormer(cfg.Steps, cfg.Burst, cfg.Users), 1).
-		Sessions(cfg.Conns)
-}
 
 // Account is one principal a scenario's sessions log in as.
 type Account struct {
@@ -152,9 +131,6 @@ func (sc *Scenario) Plan() (*Plan, error) {
 func (sc *Scenario) compile() (*Plan, error) {
 	if sc.sessions < 1 {
 		return nil, fmt.Errorf("workload: scenario %q: %d sessions", sc.name, sc.sessions)
-	}
-	if sc.par < 1 {
-		return nil, fmt.Errorf("workload: scenario %q: parallelism %d", sc.name, sc.par)
 	}
 	if sc.openGap < 0 {
 		return nil, fmt.Errorf("workload: scenario %q: negative arrival gap %d", sc.name, sc.openGap)
@@ -215,10 +191,7 @@ func (sc *Scenario) compile() (*Plan, error) {
 		}
 		var legacyScripts []Script
 		if pe.legacy {
-			legacyScripts = GenScripts(Config{
-				Conns: counts[mi], Steps: pe.Steps, Burst: pe.Burst,
-				Users: pe.Users, Seed: sc.seed,
-			})
+			legacyScripts = genScripts(&pe, counts[mi], sc.seed)
 		}
 		for s := 0; s < counts[mi]; s++ {
 			var script Script
@@ -282,8 +255,8 @@ func (sc *Scenario) compile() (*Plan, error) {
 
 // ScheduleDigest folds every session's burst schedule in session order:
 // the arrival-model determinism witness. It is computed from the Plan
-// alone, so comparing it across runs at different Parallelism or kernel
-// counts asserts the schedules — not just the replies — are identical.
+// alone, so comparing it across runs at different kernel counts asserts
+// the schedules — not just the replies — are identical.
 func (p *Plan) ScheduleDigest() string {
 	h := sha256.New()
 	for i, ws := range p.Windows {

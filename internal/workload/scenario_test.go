@@ -7,34 +7,34 @@ import (
 	"repro/multics"
 )
 
-// TestLegacyAdapterReproducesGenScripts pins the compatibility contract:
-// the Legacy adapter compiles the old flat Config into exactly the
-// scripts the historical generator produced — same accounts, same
-// levels, same echo/sum/spin stream — with whole-script bursts firing
-// on consecutive rounds.
-func TestLegacyAdapterReproducesGenScripts(t *testing.T) {
-	cfg := Config{Conns: 12, Steps: 10, Burst: 4, Seed: 75}
-	want := cfg
-	if err := want.setDefaults(); err != nil {
-		t.Fatal(err)
-	}
-	plan, err := Legacy(cfg).Plan()
+// TestStormerReproducesGenScripts pins the stormer contract: a stormer
+// scenario compiles into exactly the scripts the historical generator
+// produces — same accounts, same levels, same echo/sum/spin stream —
+// with its bursts firing on consecutive rounds and min(sessions, 8)
+// accounts registered.
+func TestStormerReproducesGenScripts(t *testing.T) {
+	const sessions, steps, burst = 12, 10, 4
+	plan, err := NewScenario("storm", 75).Mix(Stormer(steps, burst, 0), 1).Sessions(sessions).Plan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(plan.Scripts, GenScripts(want)) {
-		t.Fatal("Legacy scripts differ from the historical generator's")
+	want := Stormer(steps, burst, 0)
+	if err := want.setDefaults(sessions); err != nil {
+		t.Fatal(err)
+	}
+	if want.Users != 8 {
+		t.Fatalf("stormer defaulted to %d users, want min(%d, 8)", want.Users, sessions)
+	}
+	if !reflect.DeepEqual(plan.Scripts, genScripts(&want, sessions, 75)) {
+		t.Fatal("stormer scripts differ from the historical generator's")
 	}
 	if len(plan.Accounts) != want.Users {
 		t.Fatalf("got %d accounts, want %d", len(plan.Accounts), want.Users)
 	}
 	for i, ws := range plan.Windows {
 		wantRound := 0
-		for base := 0; base < want.Steps; base += want.Burst {
-			hi := base + want.Burst
-			if hi > want.Steps {
-				hi = want.Steps
-			}
+		for base := 0; base < steps; base += burst {
+			hi := min(base+burst, steps)
 			w := ws[wantRound]
 			if w != (Window{Round: wantRound, Lo: base, Hi: hi}) {
 				t.Fatalf("session %d window %d = %+v, want {%d %d %d}", i, wantRound, w, wantRound, base, hi)
@@ -44,10 +44,10 @@ func TestLegacyAdapterReproducesGenScripts(t *testing.T) {
 	}
 }
 
-// TestLegacyDefaults pins the historical zero-value behavior: 8
-// connections, 8 steps, one whole-script burst, min(conns, 8) users.
-func TestLegacyDefaults(t *testing.T) {
-	plan, err := Legacy(Config{}).Plan()
+// TestStormerDefaults pins the historical zero-value behavior: 8
+// sessions, 8 steps, one whole-script burst, min(sessions, 8) users.
+func TestStormerDefaults(t *testing.T) {
+	plan, err := NewScenario("storm", 0).Mix(Stormer(0, 0, 0), 1).Plan()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,12 +2,14 @@
 // booted system's network attachment front-end. A Scenario composes
 // weighted Persona mixes (interactive editors, batch compilers,
 // long-lived daemons, MLS-labeled tenant pairs — or the classic storm
-// shape) under an open- or closed-loop arrival model; every script,
-// schedule and account is a pure function of the scenario seed, the
-// engine drives the sessions in a fixed round schedule over virtual
-// time, and the transcript of every reply is folded into a digest — so
-// the same seed always produces the same digest, no matter how many
-// worker goroutines replay it or how many kernels serve it. The report
+// shape) under an open- or closed-loop arrival model and compiles them
+// into a Plan: every script, burst schedule and account is a pure
+// function of the scenario seed. One sequential driver walks the plan's
+// rounds over virtual time — storm every due burst, let the system run,
+// drain the replies in session order — and folds each session's replies
+// into its own transcript digest, so the same seed always produces the
+// same digest, whether one kernel serves it (Run, RunWindow) or a fleet
+// does (fleet.Run folds its sessions through the same Tally). The report
 // carries throughput, per-persona outcome and attach-latency breakdowns,
 // peak buffer occupancy, and exact drop counts, which is what lets
 // cmd/loadgen show the legacy circular buffers losing traffic under
@@ -20,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"hash"
+	"io"
 	"math/rand"
 	"sort"
 	"sync"
@@ -43,51 +46,6 @@ type Script struct {
 	Person, Project, Password string
 	Level                     multics.Level
 	Steps                     []Step
-}
-
-// Config is the old flat traffic shape, kept only as the argument to
-// the Legacy adapter: one stormer persona of Conns sessions × Steps
-// requests fired in bursts of Burst over Users accounts from Seed.
-// Everything that used to ride along in this struct (parallelism, trace
-// sinks, backing stores, fault plans) now lives on Scenario; new
-// callers should compose personas with NewScenario instead.
-type Config struct {
-	// Conns is the number of concurrent connections (default 8).
-	Conns int
-	// Steps is the number of requests per session (default 8).
-	Steps int
-	// Burst is how many requests each connection fires back-to-back
-	// before the engine lets the system run (default Steps: the whole
-	// script arrives as one storm). Bursts larger than the legacy
-	// driver's circular buffer are what make the pre-S5 path lose.
-	Burst int
-	// Users is the number of distinct accounts the connections share
-	// (default min(Conns, 8)).
-	Users int
-	// Seed drives script generation. Same seed, same transcript digest.
-	Seed int64
-}
-
-func (c *Config) setDefaults() error {
-	if c.Conns == 0 {
-		c.Conns = 8
-	}
-	if c.Steps == 0 {
-		c.Steps = 8
-	}
-	if c.Burst == 0 {
-		c.Burst = c.Steps
-	}
-	if c.Users == 0 {
-		c.Users = c.Conns
-		if c.Users > 8 {
-			c.Users = 8
-		}
-	}
-	if c.Conns < 1 || c.Steps < 1 || c.Burst < 1 || c.Users < 1 {
-		return fmt.Errorf("workload: invalid config %+v", *c)
-	}
-	return nil
 }
 
 // PersonaReport is one persona's slice of a run.
@@ -160,9 +118,8 @@ type Report struct {
 	// TraceDigest is a sha256 over the front-end's attachment-lifecycle
 	// trace stream, folded per connection in ascending connection-id
 	// order. Each connection's events (attach → request* → drain →
-	// close) are FIFO within the connection, so the fold is independent
-	// of how worker goroutines interleave: the digest is byte-identical
-	// at Parallelism 1 and Parallelism 8.
+	// close) are FIFO within the connection, so the fold does not depend
+	// on how the front-end's worker processes interleave connections.
 	TraceDigest string `json:"trace_digest"`
 }
 
@@ -186,23 +143,23 @@ func (r Report) Format() string {
 	return s
 }
 
-// GenScripts deterministically generates the historical stormer scripts
-// from the legacy shape: one shared math/rand stream walked in session
-// order, echo/sum/spin work steps, every reply a pure function of its
-// arguments. The Legacy adapter and the Stormer persona route through
-// this generator, which is what keeps pre-scenario seeds producing the
-// same transcript digests they always did.
-func GenScripts(cfg Config) []Script {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	scripts := make([]Script, cfg.Conns)
+// genScripts generates the stormer persona's scripts for sessions
+// sessions from the historical seeded stream: one shared math/rand
+// stream walked in session order, echo/sum/spin work steps, every reply
+// a pure function of its arguments. The stream is what keeps old seeds
+// producing the transcript digests they always did, so its draws must
+// not change.
+func genScripts(p *Persona, sessions int, seed int64) []Script {
+	rng := rand.New(rand.NewSource(seed))
+	scripts := make([]Script, sessions)
 	for i := range scripts {
-		u := i % cfg.Users
+		u := i % p.Users
 		s := Script{
 			Person:   fmt.Sprintf("Load%d", u),
 			Project:  "Traffic",
 			Password: fmt.Sprintf("storm%d pw", u),
 			Level:    multics.Secret,
-			Steps:    make([]Step, cfg.Steps),
+			Steps:    make([]Step, p.Steps),
 		}
 		for j := range s.Steps {
 			switch rng.Intn(3) {
@@ -282,15 +239,124 @@ func frontend(sys *multics.System, conns int) (*netattach.Frontend, error) {
 	return sys.Serve(netattach.Config{Workers: workers, MaxConns: conns})
 }
 
+// Tally is one session's side of a replay transcript: its request
+// counters and the running sha256 of its replies. The single-kernel
+// driver and fleet.Run both keep one per session and fold them with
+// SessionDigest, so the two encode a transcript identically and their
+// session digests compare byte for byte.
+type Tally struct {
+	Sent, Received, Throttled int64
+	h                         hash.Hash
+}
+
+// NewTally returns an empty tally.
+func NewTally() Tally { return Tally{h: sha256.New()} }
+
+// Send fires step st on c. An accepted send counts as sent and a send
+// refused at the high-water mark counts as throttled; any other error
+// is returned.
+func (t *Tally) Send(c *netattach.Conn, st Step) error {
+	err := c.Send(st.Op, st.Arg)
+	switch {
+	case err == nil:
+		t.Sent++
+	case errors.Is(err, netattach.ErrThrottled):
+		t.Throttled++
+	default:
+		return err
+	}
+	return nil
+}
+
+// Drain reads every reply waiting on c and folds each into session i's
+// transcript.
+func (t *Tally) Drain(c *netattach.Conn, i int) error {
+	for {
+		v, ok, err := c.TryRecv()
+		if err != nil || !ok {
+			return err
+		}
+		t.Received++
+		fmt.Fprintf(t.h, "%d %d\n", i, v)
+	}
+}
+
+// SessionDigest folds the sessions' transcript digests in session
+// order: the witness that compares runs across kernel counts and
+// migration cadences.
+func SessionDigest(ts []Tally) string {
+	h := sha256.New()
+	for i := range ts {
+		foldSession(h, i, &ts[i])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func foldSession(w io.Writer, i int, t *Tally) {
+	fmt.Fprintf(w, "session %d %x\n", i, t.h.Sum(nil))
+}
+
+// dial queues a login for every script before the listener process runs
+// once, so attach latency spreads across the accept queue, then lets
+// the front-end attach them all.
+func dial(fe *netattach.Frontend, scripts []Script) ([]*netattach.Conn, error) {
+	conns := make([]*netattach.Conn, len(scripts))
+	for i, s := range scripts {
+		c, err := fe.DialAsync(s.Person, s.Project, s.Password, s.Level)
+		if err != nil {
+			return nil, fmt.Errorf("workload: dial %d: %w", i, err)
+		}
+		conns[i] = c
+	}
+	fe.Flush()
+	return conns, nil
+}
+
+// replay is the driver's round loop. Each round, every live session
+// with a burst due fires the part of it that falls inside the step
+// window [lo, hi) back-to-back. Nothing pumps the scheduler during this
+// storm, so requests pile up in the kernel buffers — the legacy rings
+// overwrite, the S5 infinite buffers grow. Then the front-end is
+// flushed and every live session's replies are drained in session
+// order. A session is live while its errs entry is nil; a send or
+// receive error sets it.
+func replay(fe *netattach.Frontend, plan *Plan, conns []*netattach.Conn, ts []Tally, errs []error, lo, hi int) {
+	next := make([]int, len(conns))
+	for round := 0; round < plan.Rounds; round++ {
+		active := false
+		for i, c := range conns {
+			ws := plan.Windows[i]
+			if errs[i] != nil || next[i] >= len(ws) || ws[next[i]].Round != round {
+				continue
+			}
+			w := ws[next[i]]
+			next[i]++
+			for s := max(w.Lo, lo); s < min(w.Hi, hi); s++ {
+				active = true
+				if err := ts[i].Send(c, plan.Scripts[i].Steps[s]); err != nil {
+					errs[i] = fmt.Errorf("workload: send %d/%d: %w", i, s, err)
+				}
+			}
+		}
+		if !active {
+			continue
+		}
+		fe.Flush()
+		for i, c := range conns {
+			if errs[i] != nil {
+				continue
+			}
+			if err := ts[i].Drain(c, i); err != nil {
+				errs[i] = fmt.Errorf("workload: recv %d: %w", i, err)
+			}
+		}
+	}
+}
+
 // Run replays the scenario against sys: dial every session, fire the
 // compiled burst schedule round by round, drain replies between bursts,
-// log every session out, and report. Sessions are partitioned over
-// Scenario.Parallel real worker goroutines; each worker walks the round
-// schedule over the sessions it owns, so with Parallelism 1 the
-// interleaving is exactly the fixed round-robin. The reply transcript
-// is hashed per session and the per-session digests are folded together
-// in session order, so the digest does not depend on how workers
-// interleave.
+// log every session out, and report. Under a fault plan a session that
+// fails is counted in Report.Failed; without one its error ends the run.
 func Run(sys *multics.System, sc *Scenario) (*Report, error) {
 	plan, err := sc.Plan()
 	if err != nil {
@@ -306,23 +372,17 @@ func Run(sys *multics.System, sc *Scenario) (*Report, error) {
 	fe.SetSink(tc)
 	defer fe.SetSink(nil)
 
-	scripts := plan.Scripts
 	start := sys.Kernel.Services().Clock.Now()
-
-	// Login storm: every dial is queued before the listener process runs
-	// once, so attach latency spreads across the accept queue.
-	conns := make([]*netattach.Conn, len(scripts))
-	for i, s := range scripts {
-		c, err := fe.DialAsync(s.Person, s.Project, s.Password, s.Level)
-		if err != nil {
-			return nil, fmt.Errorf("workload: dial %d: %w", i, err)
-		}
-		conns[i] = c
+	conns, err := dial(fe, plan.Scripts)
+	if err != nil {
+		return nil, err
 	}
-	fe.Flush()
-	rep := &Report{Scenario: sc.name, Conns: len(scripts), Steps: plan.MaxSteps()}
+	rep := &Report{Scenario: sc.name, Conns: len(conns), Steps: plan.MaxSteps()}
+	ts := make([]Tally, len(conns))
+	errs := make([]error, len(conns))
 	dead := make([]bool, len(conns))
 	for i, c := range conns {
+		ts[i] = NewTally()
 		if c.State() != netattach.StateAttached {
 			if sc.faults == nil {
 				return nil, fmt.Errorf("workload: connection %d not attached: %v (%v)",
@@ -330,123 +390,15 @@ func Run(sys *multics.System, sc *Scenario) (*Report, error) {
 			}
 			dead[i] = true
 			rep.Failed++
+			errs[i] = fmt.Errorf("workload: connection %d never attached", i)
 		}
 	}
 
-	// Each connection accumulates its own transcript hash and counters;
-	// workers never touch another worker's tallies, and the fold at the
-	// end walks the table in index order regardless of which worker
-	// produced what.
-	type connTally struct {
-		sent, received, throttled int64
-		digest                    [sha256.Size]byte
-		err                       error
-	}
-	tallies := make([]connTally, len(conns))
-
-	// driveConns runs the engine loop — walk the compiled round
-	// schedule, storm each due burst on every owned connection, flush
-	// the simulation, drain the replies — over the subset of
-	// connections owned by one worker.
-	driveConns := func(owned []int) {
-		hs := make(map[int]hash.Hash, len(owned))
-		next := make(map[int]int, len(owned))
-		for _, i := range owned {
-			hs[i] = sha256.New()
-			if dead[i] {
-				tallies[i].err = fmt.Errorf("workload: connection %d never attached", i)
-			}
-		}
-		for round := 0; round < plan.Rounds; round++ {
-			// Storm phase: every owned connection with a window due this
-			// round fires it back-to-back. Nothing pumps the scheduler
-			// here, so requests pile up in the kernel buffers — the
-			// legacy rings overwrite, the S5 infinite buffers grow.
-			active := false
-			for _, i := range owned {
-				t := &tallies[i]
-				if t.err != nil {
-					continue
-				}
-				ws := plan.Windows[i]
-				if next[i] >= len(ws) || ws[next[i]].Round != round {
-					continue
-				}
-				w := ws[next[i]]
-				next[i]++
-				active = true
-				for s := w.Lo; s < w.Hi; s++ {
-					st := scripts[i].Steps[s]
-					err := conns[i].Send(st.Op, st.Arg)
-					switch {
-					case err == nil:
-						t.sent++
-					case errors.Is(err, netattach.ErrThrottled):
-						t.throttled++
-					default:
-						t.err = fmt.Errorf("workload: send %d/%d: %w", i, s, err)
-					}
-				}
-			}
-			if !active {
-				continue
-			}
-			// Service phase: let the multiplexer drain everything, then
-			// read the replies back in owned-table order.
-			fe.Flush()
-			for _, i := range owned {
-				t := &tallies[i]
-				if t.err != nil {
-					continue
-				}
-				for {
-					v, ok, err := conns[i].TryRecv()
-					if err != nil {
-						t.err = fmt.Errorf("workload: recv %d: %w", i, err)
-						break
-					}
-					if !ok {
-						break
-					}
-					t.received++
-					fmt.Fprintf(hs[i], "%d %d\n", i, v)
-				}
-			}
-		}
-		for _, i := range owned {
-			copy(tallies[i].digest[:], hs[i].Sum(nil))
-		}
-	}
-
-	par := sc.par
-	if par > len(conns) {
-		par = len(conns)
-	}
-	if par <= 1 {
-		owned := make([]int, len(conns))
-		for i := range owned {
-			owned[i] = i
-		}
-		driveConns(owned)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < par; w++ {
-			owned := make([]int, 0, len(conns)/par+1)
-			for i := w; i < len(conns); i += par {
-				owned = append(owned, i)
-			}
-			wg.Add(1)
-			go func(owned []int) {
-				defer wg.Done()
-				driveConns(owned)
-			}(owned)
-		}
-		wg.Wait()
-	}
-	for i := range tallies {
-		if tallies[i].err != nil {
+	replay(fe, plan, conns, ts, errs, 0, plan.MaxSteps())
+	for i, t := range ts {
+		if errs[i] != nil {
 			if sc.faults == nil {
-				return nil, tallies[i].err
+				return nil, errs[i]
 			}
 			if !dead[i] {
 				// Already counted when the attach failed; count fresh
@@ -456,18 +408,15 @@ func Run(sys *multics.System, sc *Scenario) (*Report, error) {
 			}
 			continue
 		}
-		rep.Sent += tallies[i].sent
-		rep.Received += tallies[i].received
-		rep.Throttled += tallies[i].throttled
+		rep.Sent += t.Sent
+		rep.Received += t.Received
+		rep.Throttled += t.Throttled
 	}
 
 	// Logout in table order.
 	for i, c := range conns {
-		if err := c.Close(); err != nil {
-			if sc.faults == nil {
-				return nil, fmt.Errorf("workload: close %d: %w", i, err)
-			}
-			continue
+		if err := c.Close(); err != nil && sc.faults == nil {
+			return nil, fmt.Errorf("workload: close %d: %w", i, err)
 		}
 	}
 
@@ -479,33 +428,25 @@ func Run(sys *multics.System, sc *Scenario) (*Report, error) {
 	// Fold the per-connection digests in fixed table order, then the
 	// run-wide counters: the determinism witness.
 	h := sha256.New()
-	for i := range tallies {
+	for i, t := range ts {
 		fmt.Fprintf(h, "conn %d %x sent %d received %d throttled %d dead %v\n",
-			i, tallies[i].digest, tallies[i].sent, tallies[i].received, tallies[i].throttled, dead[i])
+			i, t.h.Sum(nil), t.Sent, t.Received, t.Throttled, dead[i])
 	}
 	fmt.Fprintf(h, "sent %d received %d throttled %d failed %d lost %d/%d drops %d\n",
 		rep.Sent, rep.Received, rep.Throttled, rep.Failed,
 		rep.Stats.InputLost, rep.Stats.ReplyLost, rep.Stats.ReplyDrops)
 	rep.Digest = hex.EncodeToString(h.Sum(nil))
-	// SessionDigest uses the fleet runner's exact fold, so the two
-	// engines' outputs compare byte-for-byte (E21's cross-kernel-count
-	// witness).
-	sh := sha256.New()
-	for i := range tallies {
-		fmt.Fprintf(sh, "session %d %x\n", i, tallies[i].digest)
-	}
-	rep.SessionDigest = hex.EncodeToString(sh.Sum(nil))
+	rep.SessionDigest = SessionDigest(ts)
 	rep.ScheduleDigest = plan.ScheduleDigest()
 	rep.TraceDigest = tc.digest()
 
-	// Per-persona breakdown, folded single-threaded after the workers
-	// joined: sessions are grouped by plan persona, attach latencies
-	// (fixed under the single-threaded login flush) are ranked for
-	// percentiles, and the sections are sorted by name so the JSON and
-	// terminal renderings are byte-identical across runs.
+	// Per-persona breakdown: sessions are grouped by plan persona,
+	// attach latencies (fixed under the single-threaded login flush) are
+	// ranked for percentiles, and the sections are sorted by name so the
+	// JSON and terminal renderings are byte-identical across runs.
 	byName := map[string]*PersonaReport{}
 	attach := map[string][]int64{}
-	for i := range tallies {
+	for i, t := range ts {
 		name := plan.Personas[i]
 		pr := byName[name]
 		if pr == nil {
@@ -513,9 +454,9 @@ func Run(sys *multics.System, sc *Scenario) (*Report, error) {
 			byName[name] = pr
 		}
 		pr.Sessions++
-		pr.Sent += tallies[i].sent
-		pr.Received += tallies[i].received
-		pr.Throttled += tallies[i].throttled
+		pr.Sent += t.Sent
+		pr.Received += t.Received
+		pr.Throttled += t.Throttled
 		if dead[i] {
 			pr.Failed++
 		} else {
@@ -535,9 +476,9 @@ func Run(sys *multics.System, sc *Scenario) (*Report, error) {
 			pr.AttachP99 = ls[len(ls)*99/100]
 		}
 		ph := sha256.New()
-		for i := range tallies {
+		for i := range ts {
 			if plan.Personas[i] == name {
-				fmt.Fprintf(ph, "session %d %x\n", i, tallies[i].digest)
+				foldSession(ph, i, &ts[i])
 			}
 		}
 		pr.Digest = hex.EncodeToString(ph.Sum(nil))
@@ -545,8 +486,7 @@ func Run(sys *multics.System, sc *Scenario) (*Report, error) {
 	}
 
 	// Fold the session outcomes into the kernel's unified metrics
-	// registry. This runs after the single-threaded tally fold above, so
-	// the additions are deterministic regardless of Parallelism.
+	// registry.
 	reg := sys.Kernel.Services().Metrics
 	reg.Counter("workload.sessions").Add(int64(rep.Conns))
 	reg.Counter("workload.failed").Add(rep.Failed)
@@ -567,7 +507,7 @@ func Run(sys *multics.System, sc *Scenario) (*Report, error) {
 // the front-end's lifecycle events by connection id and optionally tees
 // the raw stream to a caller-supplied sink. The front-end serializes
 // emission under its own lock, but the collector carries its own mutex
-// so it is a valid TraceSink regardless of who calls it.
+// so it is a valid trace.Sink regardless of who calls it.
 type traceCollector struct {
 	mu   sync.Mutex
 	tee  trace.Sink
@@ -587,7 +527,8 @@ func (tc *traceCollector) Record(ev trace.Event) {
 // connection-id order. Within a connection the stream is FIFO (attach
 // happens under the single-threaded Flush, requests drain in input
 // order, drain/close fire in table order), so the result does not
-// depend on worker interleaving.
+// depend on how the front-end's worker processes interleave
+// connections.
 func (tc *traceCollector) digest() string {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()

@@ -134,36 +134,10 @@ func mixed(seed int64) *workload.Scenario {
 		Sessions(24)
 }
 
-// TestParallelReplayDigestInvariant is the determinism guarantee of the
-// worker-pool engine: the transcript digest is byte-identical no matter how
-// many goroutines replay the connections, because every reply is a pure
-// function of its own connection's script and the per-connection digests
-// fold in fixed table order.
-func TestParallelReplayDigestInvariant(t *testing.T) {
-	run := func(par int) string {
-		sc := storm(24, 12, 12, 75).Parallel(par)
-		r, err := workload.RunAt(multics.StageRestructured, sc)
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", par, err)
-		}
-		if r.Sent == 0 || r.Received != r.Sent {
-			t.Fatalf("parallelism %d: sent %d received %d", par, r.Sent, r.Received)
-		}
-		return r.Digest
-	}
-
-	d1 := run(1)
-	for _, par := range []int{2, 8} {
-		if d := run(par); d != d1 {
-			t.Errorf("digest at parallelism %d differs from parallelism 1:\n%s\n%s", par, d, d1)
-		}
-	}
-}
-
 // TestArrivalModelDeterminism is the arrival-model half of the
 // determinism guarantee: open- and closed-loop persona schedules — and
-// the transcripts they produce — are byte-identical at parallelism 1
-// and 8, and two compiles of the same scenario agree.
+// the transcripts they produce — are byte-identical across two runs of
+// the same scenario, and two compiles of the same scenario agree.
 func TestArrivalModelDeterminism(t *testing.T) {
 	shapes := map[string]func() *workload.Scenario{
 		"closed": func() *workload.Scenario { return mixed(75).ClosedLoop() },
@@ -184,25 +158,25 @@ func TestArrivalModelDeterminism(t *testing.T) {
 					plan1.ScheduleDigest(), plan2.ScheduleDigest())
 			}
 
-			run := func(par int) *workload.Report {
-				r, err := workload.RunAt(multics.StageRestructured, build().Parallel(par))
+			run := func() *workload.Report {
+				r, err := workload.RunAt(multics.StageRestructured, build())
 				if err != nil {
-					t.Fatalf("parallelism %d: %v", par, err)
+					t.Fatal(err)
 				}
 				return r
 			}
-			r1, r8 := run(1), run(8)
+			r1, r2 := run(), run()
 			if r1.ScheduleDigest != plan1.ScheduleDigest() {
 				t.Fatalf("report schedule digest %s != compiled %s", r1.ScheduleDigest, plan1.ScheduleDigest())
 			}
-			if r1.ScheduleDigest != r8.ScheduleDigest {
-				t.Errorf("schedule digest differs across parallelism:\n%s\n%s", r1.ScheduleDigest, r8.ScheduleDigest)
+			if r1.ScheduleDigest != r2.ScheduleDigest {
+				t.Errorf("schedule digest differs across runs:\n%s\n%s", r1.ScheduleDigest, r2.ScheduleDigest)
 			}
-			if r1.Digest != r8.Digest {
-				t.Errorf("transcript digest differs across parallelism:\n%s\n%s", r1.Digest, r8.Digest)
+			if r1.Digest != r2.Digest {
+				t.Errorf("transcript digest differs across runs:\n%s\n%s", r1.Digest, r2.Digest)
 			}
-			if r1.SessionDigest != r8.SessionDigest {
-				t.Errorf("session digest differs across parallelism:\n%s\n%s", r1.SessionDigest, r8.SessionDigest)
+			if r1.SessionDigest != r2.SessionDigest {
+				t.Errorf("session digest differs across runs:\n%s\n%s", r1.SessionDigest, r2.SessionDigest)
 			}
 			if r1.Throttled != 0 || r1.Failed != 0 {
 				t.Fatalf("persona mix throttled %d failed %d — bursts must stay under the high-water mark",
@@ -218,8 +192,8 @@ func TestArrivalModelDeterminism(t *testing.T) {
 				if p.Sessions == 0 || p.Sent == 0 || p.Received != p.Sent {
 					t.Errorf("persona %q: sessions %d sent %d received %d", p.Name, p.Sessions, p.Sent, p.Received)
 				}
-				if p.Digest != r8.Personas[i].Digest {
-					t.Errorf("persona %q digest differs across parallelism", p.Name)
+				if p.Digest != r2.Personas[i].Digest {
+					t.Errorf("persona %q digest differs across runs", p.Name)
 				}
 			}
 		})
@@ -267,49 +241,49 @@ func (s *countingSink) Record(trace.Event) {
 	s.mu.Unlock()
 }
 
-// TestTraceStreamParallelismInvariant is the trace-spine half of the
+// TestTraceStreamReproducible is the trace-spine half of the
 // determinism guarantee: the attachment-lifecycle trace stream, folded
-// per connection, is byte-identical at parallelism 1 and 8, and the
+// per connection, is byte-identical across two runs, and the
 // caller-supplied trace tee sees the full stream (one attach, one
 // event per request, one drain, one close per connection).
-func TestTraceStreamParallelismInvariant(t *testing.T) {
+func TestTraceStreamReproducible(t *testing.T) {
 	const conns, steps = 24, 12
 
-	run := func(par int) (string, int) {
+	run := func() (string, int) {
 		sink := &countingSink{}
-		sc := storm(conns, steps, steps, 75).Parallel(par).Trace(sink)
+		sc := storm(conns, steps, steps, 75).Trace(sink)
 		r, err := workload.RunAt(multics.StageRestructured, sc)
 		if err != nil {
-			t.Fatalf("parallelism %d: %v", par, err)
+			t.Fatal(err)
 		}
 		if r.TraceDigest == "" {
-			t.Fatalf("parallelism %d: empty trace digest", par)
+			t.Fatal("empty trace digest")
 		}
 		return r.TraceDigest, sink.n
 	}
 
-	d1, n1 := run(1)
+	d1, n1 := run()
 	// attach + one event per processed request + drain + close, per conn.
 	want := conns*3 + conns*steps
 	if n1 != want {
 		t.Fatalf("tee saw %d events, want %d", n1, want)
 	}
-	d8, n8 := run(8)
-	if n8 != n1 {
-		t.Fatalf("tee saw %d events at parallelism 8, %d at 1", n8, n1)
+	d2, n2 := run()
+	if n2 != n1 {
+		t.Fatalf("tee saw %d events on the second run, %d on the first", n2, n1)
 	}
-	if d8 != d1 {
-		t.Fatalf("trace digest differs between parallelism 1 and 8:\n%s\n%s", d1, d8)
+	if d2 != d1 {
+		t.Fatalf("trace digest differs between runs:\n%s\n%s", d1, d2)
 	}
 }
 
-func TestFaultPlanDigestAndSalvageParallelismInvariant(t *testing.T) {
-	// Same fault plan, parallelism 1 vs 8: the reply transcript digest
-	// AND the salvager's repair report must be byte-identical — injected
-	// faults are a function of the plan, never of worker interleaving.
-	run := func(par int) (string, string) {
+func TestFaultPlanDigestAndSalvageReproducible(t *testing.T) {
+	// Same fault plan, two runs: the reply transcript digest AND the
+	// salvager's repair report must be byte-identical — injected faults
+	// are a function of the plan, never of scheduling.
+	run := func() (string, string) {
 		spec := faults.UniformSpec(4242, 0.01, 4)
-		sc := storm(24, 10, 10, 31).Parallel(par).Faults(&spec)
+		sc := storm(24, 10, 10, 31).Faults(&spec)
 		sys, err := workload.Boot(multics.StageIOConsolidated, sc)
 		if err != nil {
 			t.Fatal(err)
@@ -320,7 +294,7 @@ func TestFaultPlanDigestAndSalvageParallelismInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		if rep.Failed != 0 {
-			t.Fatalf("parallelism %d: %d sessions failed despite recovery paths", par, rep.Failed)
+			t.Fatalf("%d sessions failed despite recovery paths", rep.Failed)
 		}
 		svc := sys.Kernel.Services()
 		// Grow the same deterministic tree in both runs so the crash has
@@ -350,17 +324,17 @@ func TestFaultPlanDigestAndSalvageParallelismInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !verify.Clean() {
-			t.Fatalf("parallelism %d: hierarchy dirty after salvage: %v", par, verify.Problems)
+			t.Fatalf("hierarchy dirty after salvage: %v", verify.Problems)
 		}
 		return rep.Digest, salvageRep.Format()
 	}
-	d1, s1 := run(1)
-	d8, s8 := run(8)
-	if d1 != d8 {
-		t.Errorf("transcript digest differs across parallelism:\n 1: %s\n 8: %s", d1, d8)
+	d1, s1 := run()
+	d2, s2 := run()
+	if d1 != d2 {
+		t.Errorf("transcript digest differs across runs:\n%s\n%s", d1, d2)
 	}
-	if s1 != s8 {
-		t.Errorf("salvage report differs across parallelism:\n 1: %q\n 8: %q", s1, s8)
+	if s1 != s2 {
+		t.Errorf("salvage report differs across runs:\n%q\n%q", s1, s2)
 	}
 }
 

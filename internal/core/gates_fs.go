@@ -152,15 +152,7 @@ func (k *Kernel) pathKeyedFSGates() []gdef {
 				if err != nil {
 					return nil, err
 				}
-				names := make([]string, len(entries))
-				for i, e := range entries {
-					names[i] = e.Name
-				}
-				off, length, err := k.writeUserString(ctx, strings.Join(names, "\n"))
-				if err != nil {
-					return nil, err
-				}
-				return []uint64{off, length, uint64(len(entries))}, nil
+				return k.writeNameList(ctx, entries)
 			}},
 		{name: "hcs_$add_acl_entry", cat: gate.CatFileSystem, bracket: userRing, arity: 5, units: 4,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
@@ -392,15 +384,7 @@ func (k *Kernel) segnoKeyedFSGates() []gdef {
 				if err != nil {
 					return nil, err
 				}
-				names := make([]string, len(entries))
-				for i, e := range entries {
-					names[i] = e.Name
-				}
-				off, length, err := k.writeUserString(ctx, strings.Join(names, "\n"))
-				if err != nil {
-					return nil, err
-				}
-				return []uint64{off, length, uint64(len(entries))}, nil
+				return k.writeNameList(ctx, entries)
 			}},
 		{name: "hcs_$add_acl_entry", cat: gate.CatFileSystem, bracket: userRing, arity: 6, units: 3,
 			impl: func(p *Proc, ctx *machine.ExecContext, args []uint64) ([]uint64, error) {

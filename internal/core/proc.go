@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/acl"
+	"repro/internal/fs"
 	"repro/internal/kst"
 	"repro/internal/linker"
 	"repro/internal/machine"
@@ -171,10 +173,8 @@ func (p *Proc) WriteArgBytes(b []byte) (off, length uint64, err error) {
 		}
 	}
 	start := p.argTop
-	for i, c := range b {
-		if err := p.CPU.Store(SegArgs, start+i, uint64(c)); err != nil {
-			return 0, 0, fmt.Errorf("core: writing argument byte %d: %w", i, err)
-		}
+	if i, err := p.CPU.StoreBytes(SegArgs, start, b); err != nil {
+		return 0, 0, fmt.Errorf("core: writing argument byte %d: %w", i, err)
 	}
 	p.argTop += len(b)
 	return uint64(start), uint64(len(b)), nil
@@ -185,21 +185,30 @@ func (p *Proc) WriteArgString(s string) (off, length uint64, err error) {
 	return p.WriteArgBytes([]byte(s))
 }
 
+// argRun is how many argument words one LoadWords call moves: a
+// stack-sized run, so string transfers allocate only the result.
+const argRun = 64
+
 // ReadArgString reads a string the kernel wrote back into the argument
 // segment at (off, length).
 func (p *Proc) ReadArgString(off, length uint64) (string, error) {
 	if length > ArgSegWords {
 		return "", fmt.Errorf("core: result length %d implausible", length)
 	}
-	buf := make([]byte, length)
-	for i := range buf {
-		w, err := p.CPU.Load(SegArgs, int(off)+i)
+	var b strings.Builder
+	b.Grow(int(length))
+	var run [argRun]uint64
+	for i := 0; i < int(length); {
+		n, err := p.CPU.LoadWords(SegArgs, int(off)+i, run[:min(int(length)-i, argRun)], ^uint64(0))
 		if err != nil {
 			return "", err
 		}
-		buf[i] = byte(w)
+		for _, w := range run[:n] {
+			b.WriteByte(byte(w))
+		}
+		i += n
 	}
-	return string(buf), nil
+	return b.String(), nil
 }
 
 // CallGate invokes the named gate through the machine: the call crosses
@@ -231,18 +240,25 @@ func (k *Kernel) readUserString(ctx *machine.ExecContext, off, length uint64) (s
 	if length > ArgSegWords {
 		return "", fmt.Errorf("core: string argument length %d exceeds argument segment", length)
 	}
-	buf := make([]byte, length)
-	for i := uint64(0); i < length; i++ {
-		w, err := ctx.Load(SegArgs, int(off+i))
+	var b strings.Builder
+	b.Grow(int(length))
+	var run [argRun]uint64
+	for i := uint64(0); i < length; {
+		// LoadWords stops after the first word above 0xff, so a malformed
+		// string is charged exactly the words read up to and including it.
+		n, err := ctx.LoadWords(SegArgs, int(off+i), run[:min(length-i, argRun)], 0xff)
 		if err != nil {
 			return "", fmt.Errorf("core: reading string argument: %w", err)
 		}
-		if w > 0xff {
-			return "", fmt.Errorf("core: malformed string argument word %#x", w)
+		for _, w := range run[:n] {
+			if w > 0xff {
+				return "", fmt.Errorf("core: malformed string argument word %#x", w)
+			}
+			b.WriteByte(byte(w))
 		}
-		buf[i] = byte(w)
+		i += uint64(n)
 	}
-	return string(buf), nil
+	return b.String(), nil
 }
 
 // writeUserString writes s into the caller's argument segment at a fixed
@@ -252,10 +268,31 @@ func (k *Kernel) writeUserString(ctx *machine.ExecContext, s string) (uint64, ui
 	if len(s) > ArgSegWords/4 {
 		return 0, 0, fmt.Errorf("core: result string of %d bytes too large", len(s))
 	}
-	for i := 0; i < len(s); i++ {
-		if err := ctx.Store(SegArgs, resultBase+i, uint64(s[i])); err != nil {
-			return 0, 0, fmt.Errorf("core: writing result string: %w", err)
-		}
+	if _, err := ctx.StoreBytes(SegArgs, resultBase, []byte(s)); err != nil {
+		return 0, 0, fmt.Errorf("core: writing result string: %w", err)
 	}
 	return uint64(resultBase), uint64(len(s)), nil
+}
+
+// writeNameList writes the names of entries, joined by newlines, into the
+// caller's result area and returns the hcs_$list_dir result words
+// (off, len, count).
+func (k *Kernel) writeNameList(ctx *machine.ExecContext, entries []fs.DirEntry) ([]uint64, error) {
+	size := max(len(entries)-1, 0)
+	for _, e := range entries {
+		size += len(e.Name)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for i, e := range entries {
+		if i > 0 {
+			b.WriteByte('\n')
+		}
+		b.WriteString(e.Name)
+	}
+	off, length, err := k.writeUserString(ctx, b.String())
+	if err != nil {
+		return nil, err
+	}
+	return []uint64{off, length, uint64(len(entries))}, nil
 }

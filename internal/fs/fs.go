@@ -37,7 +37,9 @@ package fs
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -109,6 +111,10 @@ type Object struct {
 	// the branch); unused by the kernel but preserved by it.
 	bitCount int
 	entries  map[string]*DirEntry // directories only
+	// list is the directory's name-sorted listing, built on first use and
+	// honored only while entGen still equals the generation it was built
+	// under (see sortedLocked).
+	list atomic.Pointer[listing]
 	// dead marks an object whose branch has been deleted; a stale pointer
 	// obtained before the delete must not mutate it.
 	dead bool
@@ -183,6 +189,33 @@ type DirEntry struct {
 
 // IsLink reports whether the entry is a link.
 func (e *DirEntry) IsLink() bool { return e.LinkTo != "" }
+
+// listing is an immutable name-sorted copy of a directory's entry map,
+// valid while the directory's entGen equals gen.
+type listing struct {
+	gen     uint64
+	entries []DirEntry
+}
+
+// sortedLocked returns dir's entries in name order. The caller holds
+// dir.mu (read or write). The listing is rebuilt only when an entry
+// mutation has moved entGen since it was built; every such mutation bumps
+// entGen inside its write-locked critical section, so a listing tagged
+// with the current generation is exactly the current entry map. The
+// result is shared: callers copy before handing it out.
+func sortedLocked(dir *Object) []DirEntry {
+	gen := atomic.LoadUint64(&dir.entGen)
+	if l := dir.list.Load(); l != nil && l.gen == gen {
+		return l.entries
+	}
+	es := make([]DirEntry, 0, len(dir.entries))
+	for _, e := range dir.entries {
+		es = append(es, *e)
+	}
+	slices.SortFunc(es, func(a, b DirEntry) int { return strings.Compare(a.Name, b.Name) })
+	dir.list.Store(&listing{gen: gen, entries: es})
+	return es
+}
 
 // Errors returned by the hierarchy.
 var (
@@ -603,13 +636,9 @@ func (h *Hierarchy) List(who acl.Principal, subj mls.Label, dirUID uint64) ([]Di
 	}
 	h.ops.lookups.Inc()
 	dir.mu.RLock()
-	out := make([]DirEntry, 0, len(dir.entries))
-	for _, e := range dir.entries {
-		out = append(out, *e)
-	}
+	es := sortedLocked(dir)
 	dir.mu.RUnlock()
-	sortEntries(out)
-	return out, nil
+	return slices.Clone(es), nil
 }
 
 // Delete removes the entry name from directory dirUID. Deleting a branch
@@ -855,12 +884,4 @@ func validName(name string) error {
 		}
 	}
 	return nil
-}
-
-func sortEntries(es []DirEntry) {
-	for i := 1; i < len(es); i++ {
-		for j := i; j > 0 && es[j].Name < es[j-1].Name; j-- {
-			es[j], es[j-1] = es[j-1], es[j]
-		}
-	}
 }

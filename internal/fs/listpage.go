@@ -2,6 +2,8 @@ package fs
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"repro/internal/acl"
 	"repro/internal/mls"
@@ -15,9 +17,10 @@ import (
 // shift or repeat names the caller has already seen, they only appear (or
 // vanish) in their name-ordered position.
 //
-// Each page costs O(n log limit) via bounded-heap selection rather than the
-// O(n log n) full sort List pays — the difference between paging a
-// million-entry directory and copying it per page.
+// Pages are cut from the directory's sorted listing (see sortedLocked):
+// the cursor is found by binary search, so a page costs O(log n + limit)
+// while the directory is unchanged, and the first listing after an entry
+// mutation pays one O(n log n) rebuild shared with List.
 func (h *Hierarchy) ListPage(who acl.Principal, subj mls.Label, dirUID uint64, cursor string, limit int) ([]DirEntry, string, error) {
 	if limit <= 0 {
 		return nil, "", fmt.Errorf("fs: ListPage limit %d must be positive", limit)
@@ -31,70 +34,16 @@ func (h *Hierarchy) ListPage(who acl.Principal, subj mls.Label, dirUID uint64, c
 	}
 	h.ops.lookups.Inc()
 
-	// Bounded max-heap over entry names: keep the `limit` smallest names
-	// beyond the cursor; every further candidate evicts the current
-	// maximum. remaining counts candidates that did not fit — nonzero
-	// means another page exists.
-	heap := make([]DirEntry, 0, limit)
-	remaining := 0
 	dir.mu.RLock()
-	for _, e := range dir.entries {
-		if e.Name <= cursor && cursor != "" {
-			continue
-		}
-		if len(heap) < limit {
-			heap = append(heap, *e)
-			siftUp(heap, len(heap)-1)
-			continue
-		}
-		if e.Name >= heap[0].Name {
-			remaining++
-			continue
-		}
-		remaining++
-		heap[0] = *e
-		siftDown(heap, 0)
-	}
+	es := sortedLocked(dir)
 	dir.mu.RUnlock()
-
-	// Drain the heap into ascending order in place: repeatedly swap the
-	// max to the end and shrink.
-	for end := len(heap) - 1; end > 0; end-- {
-		heap[0], heap[end] = heap[end], heap[0]
-		siftDown(heap[:end], 0)
-	}
+	// Names are never empty, so the empty cursor starts at index 0.
+	start := sort.Search(len(es), func(i int) bool { return es[i].Name > cursor })
+	end := min(start+limit, len(es))
+	page := slices.Clone(es[start:end])
 	next := ""
-	if remaining > 0 && len(heap) > 0 {
-		next = heap[len(heap)-1].Name
+	if end < len(es) { // limit > 0, so the page is not empty
+		next = es[end-1].Name
 	}
-	return heap, next, nil
-}
-
-func siftUp(h []DirEntry, i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p].Name >= h[i].Name {
-			return
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-}
-
-func siftDown(h []DirEntry, i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < len(h) && h[l].Name > h[big].Name {
-			big = l
-		}
-		if r < len(h) && h[r].Name > h[big].Name {
-			big = r
-		}
-		if big == i {
-			return
-		}
-		h[i], h[big] = h[big], h[i]
-		i = big
-	}
+	return page, next, nil
 }

@@ -15,10 +15,12 @@ import (
 // The salvager runs with kernel authority on a quiescent hierarchy (at
 // bootstrap, or after the fault plane simulates a crash) — it reaches
 // directly into object state rather than going through the access-checked
-// interfaces. Because its repairs and the fault plane's injected damage
-// bypass the generation counters that keep the decision and path caches
-// honest, both Salvage and CorruptForTesting end by flushing the caches
-// wholesale.
+// interfaces. Its repairs and the fault plane's injected damage rewrite
+// parent pointers, names and storage without the generation bumps that
+// keep the decision and path caches honest, so both Salvage and
+// CorruptForTesting end by flushing those caches wholesale. Entry-map
+// writes still bump the directory's entGen: a directory's sorted listing
+// lives on the object itself, where a flush cannot reach it.
 
 // ProblemKind classifies a salvager finding.
 type ProblemKind int
@@ -165,6 +167,7 @@ func (h *Hierarchy) Salvage(repair bool) (*SalvageReport, error) {
 					Detail: fmt.Sprintf("entry points at missing object %#x", e.UID)}
 				if repair {
 					delete(dir.entries, name)
+					h.bumpEntGen(dir)
 					p.Repaired = true
 				}
 				rep.Problems = append(rep.Problems, p)
@@ -235,6 +238,7 @@ func (h *Hierarchy) Salvage(repair bool) (*SalvageReport, error) {
 				name := fmt.Sprintf("orphan.%x", uid)
 				if _, dup := lostDir.entries[name]; !dup {
 					lostDir.entries[name] = &DirEntry{Name: name, UID: uid}
+					h.bumpEntGen(lostDir)
 					obj.parent = lost
 					obj.name = name
 					p.Repaired = true
@@ -268,6 +272,7 @@ func (h *Hierarchy) lostAndFound() (uint64, error) {
 	}
 	h.putObject(lost)
 	root.entries["lost+found"] = &DirEntry{Name: "lost+found", UID: uid}
+	h.bumpEntGen(root)
 	return uid, nil
 }
 
@@ -288,6 +293,7 @@ func (h *Hierarchy) CorruptForTesting(kind ProblemKind, uid uint64) error {
 			return fmt.Errorf("fs: object %#x has no parent", uid)
 		}
 		delete(parent.entries, obj.name)
+		h.bumpEntGen(parent)
 	case DanglingEntry:
 		h.removeObject(uid)
 		_ = h.store.DeleteSegment(uid)

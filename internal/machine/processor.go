@@ -336,6 +336,95 @@ func (p *Processor) Store(seg SegNo, off int, val uint64) error {
 	return err
 }
 
+// LoadWords reads consecutive words of seg starting at off into dst, with
+// the checks, charges and counts of one Load per word. It stops after the
+// first word above stopAbove (pass ^uint64(0) to read them all) and
+// returns how many words it read, that word included, so a caller
+// validating a string pays only for the words a per-word loop reads before
+// rejecting it. On error the count is the words read before the failing
+// reference.
+//
+// A run the associative memory already admits for reading from the
+// current ring, lying wholly inside a CoreBacking, is scanned, charged and
+// copied in one step. Anything else goes word by word through the full
+// reference path, so misses, faults and paged segments behave exactly as
+// they do for Load.
+func (p *Processor) LoadWords(seg SegNo, off int, dst []uint64, stopAbove uint64) (int, error) {
+	for i := 0; i < len(dst); {
+		if run := p.coreRun(seg, off+i, len(dst)-i, false); run != nil {
+			n := len(run)
+			for k, w := range run {
+				if w > stopAbove {
+					n = k + 1
+					break
+				}
+			}
+			copy(dst[i:], run[:n])
+			p.stats.Loads += int64(n)
+			p.chargeRun(n, p.Cost.Load)
+			return i + n, nil
+		}
+		w, err := p.access(seg, off+i, ModeRead, false, 0)
+		if err != nil {
+			return i, err
+		}
+		dst[i] = w
+		i++
+		if w > stopAbove {
+			return i, nil
+		}
+	}
+	return len(dst), nil
+}
+
+// StoreBytes writes b into consecutive words of seg starting at off, one
+// byte per word, with the checks, charges and counts of one Store per
+// word; it takes the same one-step path as LoadWords when the run allows.
+// On error it returns how many bytes were stored before the failing
+// reference.
+func (p *Processor) StoreBytes(seg SegNo, off int, b []byte) (int, error) {
+	for i := 0; i < len(b); i++ {
+		if run := p.coreRun(seg, off+i, len(b)-i, true); run != nil {
+			for k, c := range b[i:] {
+				run[k] = uint64(c)
+			}
+			p.stats.Stores += int64(len(run))
+			p.chargeRun(len(run), p.Cost.Store)
+			return len(b), nil
+		}
+		if _, err := p.access(seg, off+i, ModeWrite, true, uint64(b[i])); err != nil {
+			return i, err
+		}
+	}
+	return len(b), nil
+}
+
+// coreRun returns the n words of seg at off when the associative memory
+// already admits the access from the current ring and all n lie inside a
+// CoreBacking, so each of them would take access's hit path without a
+// fault; otherwise nil.
+func (p *Processor) coreRun(seg SegNo, off, n int, write bool) []uint64 {
+	e := p.assoc.lookup(seg, p.ring)
+	if e == nil || (write && !e.writeOK) || (!write && !e.readOK) {
+		return nil
+	}
+	cb, ok := e.sdw.Backing.(*CoreBacking)
+	if !ok || off < 0 || n > len(cb.words)-off {
+		return nil
+	}
+	return cb.words[off : off+n]
+}
+
+// chargeRun accounts n associative-memory hits, each followed by a
+// reference costing ref cycles — what n calls to access's hit path charge.
+func (p *Processor) chargeRun(n int, ref int64) {
+	p.stats.AssocHits += int64(n)
+	if p.mAssocHits != nil {
+		p.mAssocHits.Add(int64(n))
+	}
+	p.Clock.Advance(int64(n) * (p.Cost.AssocSearch + ref))
+}
+
 // resolveCall applies the ring-bracket call rules, returning the ring the
 // callee will execute in and whether the call passes through a gate.
 func (p *Processor) resolveCall(seg SegNo, sdw *SDW, entry int) (Ring, bool, *Fault) {
@@ -529,6 +618,18 @@ func (c *ExecContext) Load(seg SegNo, off int) (uint64, error) { return c.proc.L
 // Store writes one word through the protection checks.
 func (c *ExecContext) Store(seg SegNo, off int, val uint64) error {
 	return c.proc.Store(seg, off, val)
+}
+
+// LoadWords reads a run of words through the protection checks; see
+// Processor.LoadWords.
+func (c *ExecContext) LoadWords(seg SegNo, off int, dst []uint64, stopAbove uint64) (int, error) {
+	return c.proc.LoadWords(seg, off, dst, stopAbove)
+}
+
+// StoreBytes writes b one byte per word through the protection checks;
+// see Processor.StoreBytes.
+func (c *ExecContext) StoreBytes(seg SegNo, off int, b []byte) (int, error) {
+	return c.proc.StoreBytes(seg, off, b)
 }
 
 // Call invokes another procedure segment through the ring-bracket rules.

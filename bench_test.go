@@ -33,13 +33,13 @@ import (
 	"repro/multics"
 )
 
-func buildKernel(b *testing.B, stage core.Stage) *core.Kernel {
-	b.Helper()
+func buildKernel(tb testing.TB, stage core.Stage) *core.Kernel {
+	tb.Helper()
 	k, err := core.New(core.Config{Stage: stage})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.Cleanup(k.Shutdown)
+	tb.Cleanup(k.Shutdown)
 	return k
 }
 
@@ -930,82 +930,4 @@ func BenchmarkE18PathResolution(b *testing.B) {
 		})
 	}
 	h.SetCacheEnabled(true)
-}
-
-// BenchmarkE20EngineDispatch proves the two performance claims the
-// execution-engine restructuring makes. First, the gate-dispatch hot
-// path allocates nothing: the processor reuses a depth-indexed
-// ExecContext cache and a per-context result arena, and the trace ring
-// publishes into pre-allocated value slots, so a traced niladic gate
-// call touches no heap. Second, the batch seam turns one backing-store
-// round trip per evicted page into one per quantum — measured by
-// running the E20 engine workload with the batched flusher and with a
-// frame-at-a-time flusher over identical staged work.
-func BenchmarkE20EngineDispatch(b *testing.B) {
-	defer debug.SetGCPercent(debug.SetGCPercent(1000))
-
-	k := buildKernel(b, core.S6Restructured)
-	k.Services().Trace.SetEnabled(true)
-	p, err := k.CreateProcess("bench", acl.Principal{Person: "Bench", Project: "Perf", Tag: "a"},
-		mls.NewLabel(mls.Unclassified), machine.UserRing)
-	if err != nil {
-		b.Fatal(err)
-	}
-	idx, err := k.Services().UserGates.EntryIndex("hcs_$get_system_info")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := p.CPU.Call(core.SegHCS, idx, nil); err != nil {
-		b.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(2000, func() {
-		if _, err := p.CPU.Call(core.SegHCS, idx, nil); err != nil {
-			b.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		b.Fatalf("traced gate dispatch allocates %.1f objects/call, want 0", allocs)
-	}
-
-	batchedTrips, batchedPages, err := experiments.E20PageOutTrips(8, true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	perTrips, perPages, err := experiments.E20PageOutTrips(8, false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if batchedPages == 0 || batchedPages != perPages {
-		b.Fatalf("arms paged out different work: batched %d pages, per-page %d", batchedPages, perPages)
-	}
-	if ratio := float64(perTrips) / float64(batchedTrips); ratio < 3 {
-		b.Fatalf("batched page-out saved only %.1fx backing round trips (%d vs %d), want >= 3x",
-			ratio, batchedTrips, perTrips)
-	}
-
-	b.Run("gate-dispatch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := p.CPU.Call(core.SegHCS, idx, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(allocs, "allocs/call")
-	})
-	for _, arm := range []struct {
-		name    string
-		batched bool
-		trips   int64
-	}{
-		{"pageout-batched", true, batchedTrips},
-		{"pageout-perpage", false, perTrips},
-	} {
-		b.Run(arm.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := experiments.E20PageOutTrips(8, arm.batched); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(arm.trips), "backing-trips")
-		})
-	}
 }

@@ -9,6 +9,10 @@
 //	ckpt -store /tmp/s.journal -verify   # also byte-check the acked blocks
 //	ckpt -store /tmp/s.journal -json     # machine-readable output
 //
+// The record breakdown adds up to the record count: a batch group
+// (checkpoint page writes, for one) is one record however many blocks it
+// carries. The block counts that follow include batched blocks.
+//
 // The inspector is read-only: the journal bytes are loaded into an
 // in-memory medium before replay, so inspecting a journal with a torn
 // tail reports the tear without truncating the file — recovery is the
@@ -21,6 +25,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -58,13 +63,13 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*storePath, *verify, *asJSON); err != nil {
+	if err := run(os.Stdout, *storePath, *verify, *asJSON); err != nil {
 		fmt.Fprintf(os.Stderr, "ckpt: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(path string, verify, asJSON bool) error {
+func run(w io.Writer, path string, verify, asJSON bool) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -94,13 +99,13 @@ func run(path string, verify, asJSON bool) error {
 	}
 
 	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(doc); err != nil {
 			return err
 		}
 	} else {
-		printText(doc)
+		printText(w, doc)
 	}
 	if verify && (doc.Verify == nil || !doc.Verify.OK) {
 		return fmt.Errorf("verification failed: %s", doc.Verify.Detail)
@@ -141,17 +146,19 @@ func verifyCheckpoint(bs *blockstore.Store, man *core.Manifest) *verifyResult {
 	return v
 }
 
-func printText(doc inspection) {
+func printText(w io.Writer, doc inspection) {
 	rec, st := doc.Recovery, doc.Stats
 	tear := "none"
 	if rec.Truncated {
 		tear = fmt.Sprintf("%dB torn (journal would recover at %dB)", rec.TornBytes, rec.JournalSize)
 	}
-	fmt.Printf("journal  %s: %dB, %d records (%d writes, %d dedup maps, %d frees, %d checkpoints, %d reverts), tail: %s\n",
-		doc.Journal, doc.Bytes, rec.Records, rec.Writes, rec.Maps, rec.Frees, rec.Checkpoints, rec.Reverts, tear)
-	fmt.Printf("store    %d live blocks, %d distinct contents\n", st.Blocks, st.ContentBlocks)
+	single := rec.Records - rec.Batches - rec.Frees - rec.Checkpoints - rec.Reverts
+	fmt.Fprintf(w, "journal  %s: %dB, %d records (%d single-block writes, %d batch groups, %d frees, %d checkpoints, %d reverts); %d blocks written (%d new, %d dedup maps), tail: %s\n",
+		doc.Journal, doc.Bytes, rec.Records, single, rec.Batches, rec.Frees, rec.Checkpoints, rec.Reverts,
+		rec.Writes+rec.Maps, rec.Writes, rec.Maps, tear)
+	fmt.Fprintf(w, "store    %d live blocks, %d distinct contents\n", st.Blocks, st.ContentBlocks)
 	if doc.Manifest == nil {
-		fmt.Println("checkpoint  none")
+		fmt.Fprintln(w, "checkpoint  none")
 	} else {
 		man := doc.Manifest
 		pages := 0
@@ -162,7 +169,7 @@ func printText(doc inspection) {
 		if len(digest) > 16 {
 			digest = digest[:16]
 		}
-		fmt.Printf("checkpoint  vcycle %d, stage S%d, %d-word pages, %d segments, %d pages, hierarchy %s\n",
+		fmt.Fprintf(w, "checkpoint  vcycle %d, stage S%d, %d-word pages, %d segments, %d pages, hierarchy %s\n",
 			man.VCycle, man.Stage, man.PageWords, len(man.Segments), pages, digest)
 		keys := make([]string, 0, len(man.Meta))
 		for k := range man.Meta {
@@ -174,7 +181,7 @@ func printText(doc inspection) {
 			if len(v) > 48 {
 				v = fmt.Sprintf("(%d bytes)", len(v))
 			}
-			fmt.Printf("  meta %s = %s\n", k, v)
+			fmt.Fprintf(w, "  meta %s = %s\n", k, v)
 		}
 	}
 	if doc.Verify != nil {
@@ -182,11 +189,11 @@ func printText(doc inspection) {
 		if doc.Verify.OK {
 			status = "ok"
 		}
-		fmt.Printf("verify   %s: %d/%d checkpoint blocks readable, hierarchy digest ok=%v",
+		fmt.Fprintf(w, "verify   %s: %d/%d checkpoint blocks readable, hierarchy digest ok=%v",
 			status, doc.Verify.BlocksReadable, doc.Verify.BlocksChecked, doc.Verify.HierarchyOK)
 		if doc.Verify.Detail != "" {
-			fmt.Printf(" (%s)", doc.Verify.Detail)
+			fmt.Fprintf(w, " (%s)", doc.Verify.Detail)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 }

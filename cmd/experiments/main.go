@@ -64,12 +64,11 @@ func run(only string, list, ablations bool) int {
 		"E17": experiments.E17FleetScaling,
 		"E18": experiments.E18HierarchyScale,
 		"E19": experiments.E19CheckpointRestore,
-		"E20": experiments.E20DeterministicEngine,
 		"E21": experiments.E21PersonaWorkloads,
 		"A1":  experiments.A1SecurityCost,
 		"A2":  experiments.A2WaterMarks,
 	}
-	order := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E19", "E20", "E21"}
+	order := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E19", "E21"}
 	if ablations {
 		order = append(order, "A1", "A2")
 	}

@@ -6,10 +6,10 @@ import (
 	"repro/internal/mem"
 )
 
-// Batched transfers: one scheduling quantum's page-outs become ONE
-// journal record (kindBatch) instead of one kindWrite/kindMap record per
-// page — one frame, one CRC, one append, and at most one media flush for
-// the whole group. Dedup still applies per entry: content already in the
+// Batched transfers: a set of blocks written together (a checkpoint's
+// pages, for one) becomes ONE journal record (kindBatch) instead of one
+// kindWrite/kindMap record per page — one frame, one CRC, one append,
+// and at most one media flush for the whole group. Dedup still applies per entry: content already in the
 // store (or earlier in the same batch) is recorded as a reference, not a
 // second copy.
 

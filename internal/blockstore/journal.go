@@ -344,6 +344,11 @@ func applyRecord(st *replayState, rep *RecoveryReport, kind uint8, payload []byt
 		if d.bad {
 			return fmt.Errorf("%w: short checkpoint record at offset %d", ErrCorrupt, off)
 		}
+		// Each map entry is a pid and a ref (32 bytes). A count the
+		// payload cannot hold is damage, and must not size the map.
+		if left := len(d.p) - d.off; int(n) > left/32 {
+			return fmt.Errorf("%w: checkpoint map of %d entries in %d bytes (offset %d)", ErrCorrupt, n, left, off)
+		}
 		ckpt := make(map[mem.PageID]ref, n)
 		for i := 0; i < int(n); i++ {
 			pid := d.pid()

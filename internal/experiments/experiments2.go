@@ -399,12 +399,11 @@ func RunAll() []Report {
 		E13NetAttach(),
 		// E14 measures wall-clock scaling and is registered only in
 		// cmd/experiments, as are E18 (million-segment fixture) and E19
-		// (real journal bytes); E15-E17 and E20 are deterministic,
+		// (real journal bytes); E15-E17 are deterministic,
 		// virtual-time-only, and belong here.
 		E15FaultStorm(),
 		E16MetricsPlane(),
 		E17FleetScaling(),
-		E20DeterministicEngine(),
 		E21PersonaWorkloads(),
 	}
 }

@@ -38,8 +38,8 @@ func TestReportFormat(t *testing.T) {
 
 func TestExperimentCount(t *testing.T) {
 	reps := RunAll()
-	if len(reps) != 18 {
-		t.Fatalf("experiments = %d, want 18", len(reps))
+	if len(reps) != 17 {
+		t.Fatalf("experiments = %d, want 17", len(reps))
 	}
 	seen := map[string]bool{}
 	for _, r := range reps {

@@ -124,39 +124,25 @@ func countMW(c *counters) Middleware {
 	}
 }
 
-// traceMW records one event per crossing into the spine's ring — or,
-// when the calling processor carries a per-processor gate sink
-// (machine.Processor.SetGateSink), into that sink instead. The override
-// is how the execution engine routes each task's gate events into the
-// task's private effect buffer for deterministic commit.
+// traceMW records one event per crossing into the spine's ring. With
+// the ring off, the call passes straight through.
 func traceMW(r *Registry) Middleware {
 	return func(d Def, next machine.EntryFunc) machine.EntryFunc {
 		return func(ctx *machine.ExecContext, args []uint64) ([]uint64, error) {
-			var sink trace.Sink
-			var clk *machine.Clock
-			var proc *machine.Processor
-			if ctx != nil {
-				proc = ctx.Processor()
-			}
-			if proc != nil {
-				sink = proc.GateSink()
-			}
 			ring := r.ring
-			if sink == nil {
-				if ring == nil || !ring.Enabled() {
-					return next(ctx, args)
-				}
-				sink = ring
+			if ring == nil || !ring.Enabled() {
+				return next(ctx, args)
 			}
 			ev := trace.Event{Stage: trace.StageGate, Name: d.Name}
 			if len(args) > 0 {
 				ev.Arg = args[0]
 			}
+			var clk *machine.Clock
 			var before int64
 			if ctx != nil {
 				ev.Ring = int(ctx.Ring())
-				if proc != nil && proc.Clock != nil {
-					clk = proc.Clock
+				if p := ctx.Processor(); p != nil && p.Clock != nil {
+					clk = p.Clock
 					before = clk.Now()
 					ev.At = before
 				}
@@ -169,7 +155,7 @@ func traceMW(r *Registry) Middleware {
 			if err != nil {
 				ev.Detail = err.Error()
 			}
-			sink.Record(ev)
+			ring.Record(ev)
 			return out, err
 		}
 	}

@@ -75,11 +75,6 @@ type Processor struct {
 	// sink, when set, receives one trace.Event per delivered fault — the
 	// uniform spine hookup shared with sched, netattach, and faults.
 	sink trace.Sink
-	// gateSink, when set, overrides the gate registry's trace ring for
-	// gate events emitted by calls on THIS processor. The execution
-	// engine points it at a task's private effect buffer so gate events
-	// commit in deterministic quantum order with zero allocation.
-	gateSink trace.Sink
 	// ctxCache holds one reusable ExecContext per call depth, so gate
 	// dispatch allocates nothing on the steady-state hot path.
 	ctxCache []ExecContext
@@ -133,15 +128,6 @@ func (p *Processor) ResetStats() {
 	p.stats = newStats()
 	p.assoc.ResetStats()
 }
-
-// SetGateSink directs gate trace events from calls on this processor at
-// s, overriding the gate registry's shared trace ring. A nil sink
-// restores the ring. The gatekeeper's trace middleware consults this via
-// ExecContext.Processor().
-func (p *Processor) SetGateSink(s trace.Sink) { p.gateSink = s }
-
-// GateSink returns the per-processor gate event sink, or nil.
-func (p *Processor) GateSink() trace.Sink { return p.gateSink }
 
 // SetSink directs fault delivery at s: every fault the processor
 // charges — including page and linkage faults that are subsequently

@@ -39,12 +39,11 @@ type BlockWrite struct {
 // implementations must be safe for concurrent use; the store calls them
 // from every worker.
 //
-// The batch methods (ReadBlocks/WriteBlocks) exist so page control can
-// coalesce the faults of one scheduling quantum into a single round trip
-// to the device: one lock acquisition for the volatile store, one journal
-// record group for the durable one. Implementations that have no batching
-// advantage can loop; external implementations written against the PR-8
-// per-block surface keep working through AdaptBatch.
+// The batch methods (ReadBlocks/WriteBlocks) take a set of blocks in one
+// round trip to the device: one lock acquisition for the volatile store,
+// one journal record group for the durable one. Checkpoint writes go
+// through WriteBlocks (see checkpoint.go). Implementations that have no
+// batching advantage can loop.
 type BackingStore interface {
 	// ReadBlock returns a copy of pid's block and drops the live mapping.
 	// Returns ErrNoBlock if the store holds no block for pid.

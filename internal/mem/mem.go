@@ -176,8 +176,9 @@ type freeShard struct {
 //
 // Lock order (outermost first): segs map -> one segment's page table -> one
 // frame/block stripe -> free-list shard or the backing store's own lock. No
-// operation ever holds two stripes at once; a transfer that touches both a
-// frame and a block finishes with one before locking the other.
+// operation ever holds two segments' page tables or two stripes at once; a
+// transfer that touches both a frame and a block finishes with one before
+// locking the other.
 type Store struct {
 	cfg Config
 

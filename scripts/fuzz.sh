@@ -14,6 +14,7 @@ fuzztime="${1:-60s}"
 # package:target pairs, one per trust-boundary parser or transfer path.
 targets="
 ./internal/machine:FuzzArgStringTransfer
+./internal/blockstore:FuzzJournalReplay
 "
 
 for t in $targets; do

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sync"
 	"testing"
 	"time"
 
@@ -395,64 +394,6 @@ func BenchmarkE14AssocMemory(b *testing.B) {
 	b.Run("cache-off", func(b *testing.B) { run(b, false) })
 }
 
-// BenchmarkE14ParallelStore runs a fixed batch of page-in/write/read/discard
-// operations against one lock-striped store, split across 1..8 worker
-// goroutines on disjoint segments. On a multi-core host the wall time per
-// sub-benchmark drops as workers are added; on one core it stays flat,
-// which still demonstrates that the striping adds no serial overhead.
-func BenchmarkE14ParallelStore(b *testing.B) {
-	const totalOps = 1 << 14
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				cfg := mem.DefaultConfig()
-				cfg.PageWords = 32
-				cfg.CoreFrames = 4096
-				cfg.BulkBlocks = 4096
-				store, err := mem.NewStore(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for w := 0; w < workers; w++ {
-					if _, err := store.CreateSegment(uint64(w+1), 1<<16); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StartTimer()
-				var wg sync.WaitGroup
-				for w := 0; w < workers; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						uid := uint64(w + 1)
-						for op := 0; op < totalOps/workers; op++ {
-							pid := mem.PageID{SegUID: uid, Index: op % 256}
-							f, _, err := store.PageIn(pid)
-							if err != nil {
-								panic(err)
-							}
-							if err := store.WriteWord(f, op%cfg.PageWords, uint64(op)); err != nil {
-								panic(err)
-							}
-							if _, err := store.ReadWord(f, op%cfg.PageWords); err != nil {
-								panic(err)
-							}
-							if op%64 == 63 {
-								if err := store.Discard(pid); err != nil {
-									panic(err)
-								}
-							}
-						}
-					}(w)
-				}
-				wg.Wait()
-			}
-			b.ReportMetric(float64(totalOps), "ops/batch")
-		})
-	}
-}
-
 // --- Ablations (the paper's footnote 7: the performance cost of security) ---
 
 // BenchmarkAblationPolicyInKernel measures victim decisions with the clock
@@ -466,7 +407,7 @@ func BenchmarkAblationPolicyInKernel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := store.CreateSegment(1, 12*cfg.PageWords); err != nil {
+	if err := store.CreateSegment(1, 12*cfg.PageWords); err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < 12; i++ {
@@ -503,7 +444,7 @@ func BenchmarkAblationPolicyInRing(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := store.CreateSegment(1, 12*cfg.PageWords); err != nil {
+	if err := store.CreateSegment(1, 12*cfg.PageWords); err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < 12; i++ {
@@ -781,7 +722,7 @@ func e19PageOutBatch(b *testing.B, backing mem.BackingStore) time.Duration {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := store.CreateSegment(1, pages*cfg.PageWords); err != nil {
+	if err := store.CreateSegment(1, pages*cfg.PageWords); err != nil {
 		b.Fatal(err)
 	}
 	t0 := time.Now()

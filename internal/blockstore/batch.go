@@ -63,7 +63,7 @@ func (s *Store) WriteBlocks(writes []mem.BlockWrite) error {
 		if isNew[i] {
 			s.content[refs[i]] = w.Data
 		}
-		s.index[w.PID] = refs[i]
+		s.name(w.PID, refs[i])
 	}
 	s.writes.Add(int64(len(writes)))
 	s.dedups.Add(dedups)
@@ -84,9 +84,7 @@ func (s *Store) ReadBlocks(pids []mem.PageID) ([][]uint64, error) {
 	}
 	out := make([][]uint64, len(pids))
 	for i, pid := range pids {
-		r := s.index[pid]
-		delete(s.index, pid)
-		out[i] = append([]uint64(nil), s.content[r]...)
+		out[i] = s.readOut(pid)
 	}
 	s.reads.Add(int64(len(pids)))
 	return out, nil

@@ -13,7 +13,9 @@ import (
 // keyed by a 128-bit content address; identical pages written by different
 // segments share one journal record (dedup). The live pid->address index
 // and the content table are in-memory images of the journal, rebuilt by
-// replay on Open — the journal is the store.
+// replay on Open — the journal is the store. The content table holds only
+// the addresses some page still names (see uses), so its size is bounded
+// by the pages, not by every content ever written.
 //
 // Durability contract: a write is acknowledged once a Sync (or Checkpoint,
 // which syncs) covers it. Reads are not journaled: ReadBlock drops the live
@@ -29,6 +31,13 @@ type Store struct {
 	content map[ref][]uint64
 	ckpt    map[mem.PageID]ref
 	man     []byte
+	// readFrom is the address each paged-in block was read from, kept while
+	// its page has no live mapping so that writing the page back
+	// unchanged dedups against it.
+	readFrom map[mem.PageID]ref
+	// uses counts the names (index, ckpt and readFrom entries) of each
+	// address in content; an address nothing names is dropped.
+	uses map[ref]int
 
 	writes, reads, dedups  *metrics.Counter
 	frees, syncs, appended *metrics.Counter
@@ -75,12 +84,15 @@ func Open(cfg Config) (*Store, *RecoveryReport, error) {
 		}
 	}
 	s := &Store{
-		media:   cfg.Media,
-		index:   st.index,
-		content: st.content,
-		ckpt:    st.ckpt,
-		man:     st.manifest,
+		media:    cfg.Media,
+		index:    st.index,
+		content:  st.content,
+		ckpt:     st.ckpt,
+		man:      st.manifest,
+		readFrom: make(map[mem.PageID]ref),
+		uses:     make(map[ref]int),
 	}
+	s.recount()
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.New()
@@ -105,6 +117,60 @@ func (s *Store) SetMetrics(reg *metrics.Registry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.bindMetrics(reg)
+}
+
+// name points pid's live mapping at r, whose words are in content, and
+// drops the names pid held before.
+func (s *Store) name(pid mem.PageID, r ref) {
+	s.uses[r]++
+	s.unname(pid)
+	s.index[pid] = r
+}
+
+// unname drops pid's live mapping and its read address, if any.
+func (s *Store) unname(pid mem.PageID) {
+	if r, ok := s.index[pid]; ok {
+		delete(s.index, pid)
+		s.drop(r)
+	}
+	if r, ok := s.readFrom[pid]; ok {
+		delete(s.readFrom, pid)
+		s.drop(r)
+	}
+}
+
+// drop removes one name of address r, and its content with the last one.
+func (s *Store) drop(r ref) {
+	if s.uses[r]--; s.uses[r] == 0 {
+		delete(s.uses, r)
+		delete(s.content, r)
+	}
+}
+
+// readOut moves pid's live mapping to its read address and returns a copy
+// of the block.
+func (s *Store) readOut(pid mem.PageID) []uint64 {
+	r := s.index[pid]
+	s.uses[r]++
+	s.unname(pid)
+	s.readFrom[pid] = r
+	return append([]uint64(nil), s.content[r]...)
+}
+
+// recount rebuilds uses from the live map, the checkpoint map and the read
+// addresses, and drops the content none of them names.
+func (s *Store) recount() {
+	clear(s.uses)
+	for _, names := range []map[mem.PageID]ref{s.index, s.ckpt, s.readFrom} {
+		for _, r := range names {
+			s.uses[r]++
+		}
+	}
+	for r := range s.content {
+		if s.uses[r] == 0 {
+			delete(s.content, r)
+		}
+	}
 }
 
 // append frames the encoder's current record into the pending buffer,
@@ -159,7 +225,7 @@ func (s *Store) WriteBlock(pid mem.PageID, data []uint64) error {
 		}
 		s.content[r] = data
 	}
-	s.index[pid] = r
+	s.name(pid, r)
 	s.writes.Inc()
 	return nil
 }
@@ -168,26 +234,11 @@ func (s *Store) WriteBlock(pid mem.PageID, data []uint64) error {
 func (s *Store) ReadBlock(pid mem.PageID) ([]uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r, ok := s.index[pid]
-	if !ok {
+	if _, ok := s.index[pid]; !ok {
 		return nil, fmt.Errorf("%w: %v", mem.ErrNoBlock, pid)
 	}
-	delete(s.index, pid)
 	s.reads.Inc()
-	return append([]uint64(nil), s.content[r]...), nil
-}
-
-// PeekBlock returns a copy of pid's live block without consuming the
-// mapping. It is an inspection surface (cmd/ckpt, experiments), not part
-// of mem.BackingStore.
-func (s *Store) PeekBlock(pid mem.PageID) ([]uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r, ok := s.index[pid]
-	if !ok {
-		return nil, fmt.Errorf("%w: %v", mem.ErrNoBlock, pid)
-	}
-	return append([]uint64(nil), s.content[r]...), nil
+	return s.readOut(pid), nil
 }
 
 // FreeBlock implements mem.BackingStore.
@@ -195,6 +246,7 @@ func (s *Store) FreeBlock(pid mem.PageID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.index[pid]; !ok {
+		s.unname(pid)
 		return nil
 	}
 	s.enc.begin(kindFree)
@@ -202,7 +254,7 @@ func (s *Store) FreeBlock(pid mem.PageID) error {
 	if err := s.append(); err != nil {
 		return err
 	}
-	delete(s.index, pid)
+	s.unname(pid)
 	s.frees.Inc()
 	return nil
 }
@@ -276,6 +328,7 @@ func (s *Store) Checkpoint(manifest []byte) error {
 		ck[pid] = r
 	}
 	s.ckpt = ck
+	s.recount()
 	s.man = append([]byte(nil), manifest...)
 	return nil
 }
@@ -325,6 +378,8 @@ func (s *Store) RevertToCheckpoint() error {
 		live[pid] = r
 	}
 	s.index = live
+	clear(s.readFrom)
+	s.recount()
 	return nil
 }
 
@@ -344,7 +399,7 @@ func (s *Store) Close() error {
 // Stats is a point-in-time census for the inspector.
 type Stats struct {
 	Blocks        int   `json:"blocks"`         // live pid mappings
-	ContentBlocks int   `json:"content_blocks"` // distinct content records
+	ContentBlocks int   `json:"content_blocks"` // distinct contents a block still names
 	Writes        int64 `json:"writes"`
 	DedupHits     int64 `json:"dedup_hits"`
 	Frees         int64 `json:"frees"`

@@ -395,3 +395,72 @@ func TestPendingBufferInvisibleUntilFlush(t *testing.T) {
 		t.Fatalf("after Sync: size %dB unsynced %dB, want flushed and durable", m.Size(), m.UnsyncedBytes())
 	}
 }
+
+// TestContentTableHoldsOnlyNamedContent checks that the content table is
+// bounded by the blocks that name it: a live mapping, the checkpoint map,
+// or the address a paged-in block was read from. A page read back and
+// written unchanged still dedups against the content it was read from.
+func TestContentTableHoldsOnlyNamedContent(t *testing.T) {
+	m := NewMemMedia()
+	s, _ := mustOpen(t, m)
+	contents := func(want int, what string) {
+		t.Helper()
+		if got := s.StoreStats().ContentBlocks; got != want {
+			t.Fatalf("%s: %d contents, want %d", what, got, want)
+		}
+	}
+	p := pid(1, 0)
+	for seed := uint64(1); seed <= 3; seed++ {
+		if err := s.WriteBlock(p, block(seed)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	contents(1, "after three overwrites")
+
+	data, err := s.ReadBlock(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	contents(1, "after the page was read back")
+	if err := s.WriteBlock(p, data); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.StoreStats(); st.DedupHits != 1 || st.ContentBlocks != 1 {
+		t.Fatalf("unchanged write-back: %+v, want 1 dedup hit over 1 content", st)
+	}
+
+	if err := s.Checkpoint([]byte("m")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteBlock(p, block(4)); err != nil {
+		t.Fatal(err)
+	}
+	contents(2, "checkpointed content plus the live one")
+	if err := s.RevertToCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	contents(1, "after reverting to the checkpoint")
+	got, err := s.ReadBlock(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantWords(t, got, 3, "reverted block")
+	if err := s.FreeBlock(p); err != nil {
+		t.Fatal(err)
+	}
+	contents(1, "freed page, content kept by the checkpoint")
+
+	if err := s.WriteBlock(pid(1, 1), block(5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.FreeBlock(pid(1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, _ := mustOpen(t, m)
+	if got := reopened.StoreStats().ContentBlocks; got != 1 {
+		t.Fatalf("reopened store holds %d contents, want the checkpoint's 1", got)
+	}
+}

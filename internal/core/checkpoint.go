@@ -70,6 +70,11 @@ type Manifest struct {
 	Meta map[string]string `json:"meta,omitempty"`
 }
 
+// maxManifestVCycle bounds a manifest's barrier time. Restore resumes the
+// clock there, so a larger value would leave the restored kernel's clock
+// no room to advance without overflowing.
+const maxManifestVCycle = 1 << 62
+
 // EncodeManifest serializes a manifest.
 func EncodeManifest(m *Manifest) ([]byte, error) { return json.Marshal(m) }
 
@@ -81,6 +86,9 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 	}
 	if m.Version != ManifestVersion {
 		return nil, fmt.Errorf("core: checkpoint manifest version %d, want %d", m.Version, ManifestVersion)
+	}
+	if m.VCycle < 0 || m.VCycle > maxManifestVCycle {
+		return nil, fmt.Errorf("core: checkpoint manifest vcycle %d outside [0, %d]", m.VCycle, maxManifestVCycle)
 	}
 	return &m, nil
 }
@@ -126,11 +134,11 @@ func (k *Kernel) Checkpoint(meta map[string]string) (*CheckpointReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: checkpoint flush of segment %#x: %w", uid, err)
 		}
-		sp, ok := k.store.Segment(uid)
+		length, ok := k.store.SegmentLength(uid)
 		if !ok {
 			return nil, fmt.Errorf("core: checkpoint lost segment %#x mid-flush", uid)
 		}
-		segs = append(segs, SegmentRecord{UID: uid, Length: sp.Length(), Pages: pages})
+		segs = append(segs, SegmentRecord{UID: uid, Length: length, Pages: pages})
 		flushed += len(pages)
 	}
 	// Charge the flush before stamping VCycle so the manifest's barrier

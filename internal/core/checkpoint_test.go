@@ -10,7 +10,7 @@ import (
 )
 
 // durableKernel boots a kernel over a blockstore journal on media.
-func durableKernel(t *testing.T, stage Stage, media *blockstore.MemMedia) *Kernel {
+func durableKernel(t testing.TB, stage Stage, media *blockstore.MemMedia) *Kernel {
 	t.Helper()
 	bs, rep, err := blockstore.Open(blockstore.Config{Media: media})
 	if err != nil {

@@ -39,7 +39,7 @@ func userProc(t *testing.T, k *Kernel, who acl.Principal, label mls.Label) *Proc
 
 // mkdir creates a directory under root via the hierarchy (setup shortcut;
 // gate paths are exercised by the gate tests).
-func mkdir(t *testing.T, k *Kernel, who acl.Principal, name string) uint64 {
+func mkdir(t testing.TB, k *Kernel, who acl.Principal, name string) uint64 {
 	t.Helper()
 	uid, err := k.Services().Hierarchy.Create(who, unc, fs.RootUID, name, fs.CreateOptions{
 		Kind: fs.KindDirectory, Label: unc,

@@ -29,7 +29,7 @@ func policyDecisionCost(rounds int) (inKernel, ringSeparated int64, gateCallsPer
 		if err != nil {
 			panic(err)
 		}
-		if _, err := store.CreateSegment(1, 12*cfg.PageWords); err != nil {
+		if err := store.CreateSegment(1, 12*cfg.PageWords); err != nil {
 			panic(err)
 		}
 		for i := 0; i < 12; i++ {
@@ -156,7 +156,7 @@ func pageFaultWorkloadWith(low, target int) (pagectl.FaultStats, int64, int64) {
 	if err != nil {
 		panic(err)
 	}
-	if _, err := store.CreateSegment(1, 64*cfg.PageWords); err != nil {
+	if err := store.CreateSegment(1, 64*cfg.PageWords); err != nil {
 		panic(err)
 	}
 	clk := machine.NewClock()

@@ -2,12 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"time"
 
 	"repro/internal/machine"
-	"repro/internal/mem"
 	"repro/internal/workload"
 	"repro/multics"
 )
@@ -54,71 +51,14 @@ func e14Revoked() bool {
 	return err != nil // revoked: MUST fault
 }
 
-// e14StoreScaling runs the same total number of page-in/write/read/discard
-// operations split over n goroutines on disjoint segments of one shared
-// store, returning the wall-clock the batch took. The store is the unit
-// under test — virtual time is meaningless here, real parallelism is.
-func e14StoreScaling(workers, totalOps int) time.Duration {
-	cfg := mem.DefaultConfig()
-	cfg.PageWords = 16
-	cfg.CoreFrames = 4096
-	cfg.BulkBlocks = 4096
-	s, err := mem.NewStore(cfg)
-	if err != nil {
-		panic(err)
-	}
-	for w := 0; w < workers; w++ {
-		if _, err := s.CreateSegment(uint64(w+1), 1<<16); err != nil {
-			panic(err)
-		}
-	}
-	per := totalOps / workers
-	done := make(chan struct{}, workers)
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			uid := uint64(w + 1)
-			for i := 0; i < per; i++ {
-				pid := mem.PageID{SegUID: uid, Index: i % 256}
-				f, _, err := s.PageIn(pid)
-				if err != nil {
-					panic(err)
-				}
-				if err := s.WriteWord(f, i%cfg.PageWords, uint64(i)); err != nil {
-					panic(err)
-				}
-				if _, err := s.ReadWord(f, i%cfg.PageWords); err != nil {
-					panic(err)
-				}
-				if i%64 == 63 {
-					if err := s.Discard(pid); err != nil {
-						panic(err)
-					}
-				}
-			}
-			done <- struct{}{}
-		}(w)
-	}
-	for w := 0; w < workers; w++ {
-		<-done
-	}
-	return time.Since(start)
-}
-
 // E14HotPathPerformance measures the kernel hot-path performance layer:
 // the associative memory's effect on gate-call cost (with the mandatory
-// invalidation proven), the lock-striped store's wall-clock scaling from
-// 1 to 8 workers, and a storm replayed twice to the same digest.
+// invalidation proven) and a storm replayed twice to the same digest.
 func E14HotPathPerformance() Report {
 	const calls = 1000
 	offCycles, _ := e14GateCallCycles(false, calls)
 	onCycles, onStats := e14GateCallCycles(true, calls)
 	revokedBlocked := e14Revoked()
-
-	const totalOps = 1 << 16
-	t1 := e14StoreScaling(1, totalOps)
-	t8 := e14StoreScaling(8, totalOps)
-	speedup := float64(t1) / float64(t8)
 
 	// The same storm replayed twice must reproduce its digest; the
 	// kernel's performance counters are collected from the second run.
@@ -165,9 +105,6 @@ func E14HotPathPerformance() Report {
 	hitRate := float64(onStats.AssocHits) / float64(onStats.AssocHits+onStats.AssocMisses)
 	fmt.Fprintf(&b, "%-38s %14d %9.1f%%\n", "associative memory (cache on)", onCycles, 100*hitRate)
 	fmt.Fprintf(&b, "revoked SDW honored from cache: %v (must be false)\n", !revokedBlocked)
-	fmt.Fprintf(&b, "store scaling: %d ops, 1 worker %v, 8 workers %v (%.2fx on %d CPU(s))\n",
-		totalOps, t1.Round(time.Microsecond), t8.Round(time.Microsecond), speedup,
-		runtime.GOMAXPROCS(0))
 	fmt.Fprintf(&b, "replay digest run 1 vs run 2: equal=%v (%s)\n", digestsEqual, rep1.Digest[:16])
 	assocRate := 0.0
 	if assocHits+assocMisses > 0 {
@@ -187,8 +124,8 @@ func E14HotPathPerformance() Report {
 			"re-walking the descriptor segment; the cache is flushed whenever a descriptor changes",
 		Table: b.String(),
 		Measured: fmt.Sprintf("gate call %d -> %d vcycles with cache (%.1f%% hits); revocation enforced; "+
-			"store 1->8 workers %.2fx; digests reproducible",
-			offCycles, onCycles, 100*hitRate, speedup),
+			"digests reproducible",
+			offCycles, onCycles, 100*hitRate),
 		Pass: pass,
 	}
 }

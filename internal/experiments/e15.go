@@ -165,7 +165,7 @@ func e15MemRecovery(rate float64, msgs int) (injected int64, intact bool) {
 			}
 		}
 	}
-	if _, err := store.CreateSegment(2, 1<<12); err != nil {
+	if err := store.CreateSegment(2, 1<<12); err != nil {
 		panic(err)
 	}
 	for p := 0; p < 64; p++ {

@@ -211,7 +211,7 @@ func PageFaultWorkload(parallel bool, pages, touches int) (pagectl.FaultStats, i
 	if err != nil {
 		panic(err)
 	}
-	if _, err := store.CreateSegment(1, pages*cfg.PageWords); err != nil {
+	if err := store.CreateSegment(1, pages*cfg.PageWords); err != nil {
 		panic(err)
 	}
 	clk := machine.NewClock()

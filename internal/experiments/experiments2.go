@@ -97,7 +97,7 @@ func E7PolicyFaultInjection() Report {
 	if err != nil {
 		panic(err)
 	}
-	if _, err := store.CreateSegment(1, 10*cfg.PageWords); err != nil {
+	if err := store.CreateSegment(1, 10*cfg.PageWords); err != nil {
 		panic(err)
 	}
 	for i := 0; i < 8; i++ {

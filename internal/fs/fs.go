@@ -233,7 +233,7 @@ var (
 )
 
 // objShardCount stripes the object table; a power of two so the shard
-// index is a mask (same geometry as internal/mem's frame stripes).
+// index is a mask.
 const objShardCount = 64
 
 type objShard struct {
@@ -308,7 +308,7 @@ func New(store *mem.Store, rootLabel mls.Label) (*Hierarchy, error) {
 	h.putObject(root)
 	// Directories are layer-1 objects too: the hierarchy's own storage is
 	// paged like everything else.
-	if _, err := store.CreateSegment(RootUID, 0); err != nil {
+	if err := store.CreateSegment(RootUID, 0); err != nil {
 		return nil, fmt.Errorf("fs: creating root storage: %w", err)
 	}
 	return h, nil
@@ -558,7 +558,7 @@ func (h *Hierarchy) Create(who acl.Principal, subj mls.Label, dirUID uint64, nam
 	if opts.Kind == KindDirectory {
 		o.entries = make(map[string]*DirEntry)
 	}
-	if _, err := h.store.CreateSegment(uid, opts.Length); err != nil {
+	if err := h.store.CreateSegment(uid, opts.Length); err != nil {
 		return 0, fmt.Errorf("fs: creating storage for %q: %w", name, err)
 	}
 	h.putObject(o)

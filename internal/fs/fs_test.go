@@ -66,7 +66,7 @@ func TestCreateLookupDelete(t *testing.T) {
 		t.Errorf("deleted object lookup = %v", err)
 	}
 	// Storage released too.
-	if _, ok := h.Store().Segment(seg); ok {
+	if _, ok := h.Store().SegmentLength(seg); ok {
 		t.Error("layer-1 storage not released")
 	}
 }
@@ -328,9 +328,8 @@ func TestSetLength(t *testing.T) {
 	if err := h.SetLength(alice, unc, seg, 200); err != nil {
 		t.Fatalf("SetLength: %v", err)
 	}
-	sp, ok := h.Store().Segment(seg)
-	if !ok || sp.Length() != 200 {
-		t.Errorf("length = %v", sp)
+	if length, ok := h.Store().SegmentLength(seg); !ok || length != 200 {
+		t.Errorf("length = %d, %v; want 200", length, ok)
 	}
 	if err := h.SetLength(bob, unc, seg, 5); err == nil {
 		t.Error("SetLength without write access should fail")

@@ -100,7 +100,7 @@ func TestQuickDeleteLeavesNoOrphans(t *testing.T) {
 			if _, err := h.Object(e.uid); err != nil {
 				return false
 			}
-			if _, ok := store.Segment(e.uid); !ok {
+			if _, ok := store.SegmentLength(e.uid); !ok {
 				return false
 			}
 		}
@@ -108,7 +108,7 @@ func TestQuickDeleteLeavesNoOrphans(t *testing.T) {
 			if _, err := h.Object(uid); err == nil {
 				return false
 			}
-			if _, ok := store.Segment(uid); ok {
+			if _, ok := store.SegmentLength(uid); ok {
 				return false // layer-1 storage leaked
 			}
 		}

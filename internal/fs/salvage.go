@@ -196,11 +196,11 @@ func (h *Hierarchy) Salvage(repair bool) (*SalvageReport, error) {
 				rep.Problems = append(rep.Problems, Problem{Kind: LabelInversion, UID: obj.UID, Name: name,
 					Detail: fmt.Sprintf("label %v under directory label %v", obj.label, dir.label)})
 			}
-			if _, ok := h.store.Segment(obj.UID); !ok {
+			if _, ok := h.store.SegmentLength(obj.UID); !ok {
 				p := Problem{Kind: MissingStorage, UID: obj.UID, Name: name,
 					Detail: "no layer-1 segment behind the object"}
 				if repair {
-					if _, err := h.store.CreateSegment(obj.UID, 0); err == nil {
+					if err := h.store.CreateSegment(obj.UID, 0); err == nil {
 						p.Repaired = true
 					}
 				}
@@ -267,7 +267,7 @@ func (h *Hierarchy) lostAndFound() (uint64, error) {
 		dacl:    root.dacl,
 		entries: make(map[string]*DirEntry),
 	}
-	if _, err := h.store.CreateSegment(uid, 0); err != nil {
+	if err := h.store.CreateSegment(uid, 0); err != nil {
 		return 0, err
 	}
 	h.putObject(lost)

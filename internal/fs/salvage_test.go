@@ -141,7 +141,7 @@ func TestSalvageDetectsMissingStorage(t *testing.T) {
 	if rep.Count(MissingStorage) != 1 || !rep.Problems[0].Repaired {
 		t.Fatalf("problems: %v", rep.Problems)
 	}
-	if _, ok := h.Store().Segment(uids["a"]); !ok {
+	if _, ok := h.Store().SegmentLength(uids["a"]); !ok {
 		t.Error("storage not recreated")
 	}
 }

@@ -119,12 +119,12 @@ const wordsPerMessage = 2
 //
 // Each message costs one word-transfer call into the store (two when it
 // straddles a page boundary), which grows the segment, pages the frame in
-// on demand and copies the words under one segment lock.
+// on demand and copies the words under one store lock.
 //
 // Put, Get, Len, Lost and PagesUsed are serialized by the buffer's lock,
 // which orders the operations of one buffer. The underlying *mem.Store is
-// itself safe for concurrent use (lock-striped), so buffers over the same
-// store need no common lock.
+// itself safe for concurrent use (one store lock), so buffers over the
+// same store need no common lock.
 type InfiniteBuffer struct {
 	mu        sync.Mutex
 	store     *mem.Store
@@ -144,7 +144,7 @@ type InfiniteBuffer struct {
 // creates in store. The buffer's lock serializes its own operations; the
 // store tolerates other concurrent users.
 func NewInfiniteBuffer(store *mem.Store, uid uint64) (*InfiniteBuffer, error) {
-	if _, err := store.CreateSegment(uid, 0); err != nil {
+	if err := store.CreateSegment(uid, 0); err != nil {
 		return nil, fmt.Errorf("iosys: creating buffer segment: %w", err)
 	}
 	return &InfiniteBuffer{store: store, uid: uid, pageWords: store.Config().PageWords}, nil

@@ -32,7 +32,7 @@ var _ machine.Backing = (*PagedBacking)(nil)
 
 // NewPagedBacking returns a backing for the segment uid, which must exist.
 func NewPagedBacking(store *Store, uid uint64) (*PagedBacking, error) {
-	if _, ok := store.Segment(uid); !ok {
+	if _, ok := store.SegmentLength(uid); !ok {
 		return nil, fmt.Errorf("mem: no segment %#x", uid)
 	}
 	return &PagedBacking{store: store, uid: uid}, nil
@@ -41,49 +41,41 @@ func NewPagedBacking(store *Store, uid uint64) (*PagedBacking, error) {
 // UID returns the segment unique ID this backing serves.
 func (b *PagedBacking) UID() uint64 { return b.uid }
 
-func (b *PagedBacking) locate(off int) (FrameID, int, error) {
-	sp, ok := b.store.Segment(b.uid)
-	if !ok {
-		return 0, 0, fmt.Errorf("%w: segment %#x", ErrSegmentGone, b.uid)
-	}
-	if length := sp.Length(); off < 0 || off >= length {
-		return 0, 0, fmt.Errorf("%w: offset %d, segment %#x length %d", ErrOutOfRange, off, b.uid, length)
-	}
-	page := off / b.store.cfg.PageWords
-	pid := PageID{SegUID: b.uid, Index: page}
-	loc, err := b.store.Locate(pid)
-	if err != nil {
-		return 0, 0, err
-	}
-	if loc.Level != LevelCore {
-		return 0, 0, &machine.PageFault{Page: page, SegTag: b.uid}
-	}
-	return loc.Frame, off % b.store.cfg.PageWords, nil
-}
-
 // ReadWord implements machine.Backing.
 func (b *PagedBacking) ReadWord(off int) (uint64, error) {
-	f, rel, err := b.locate(off)
-	if err != nil {
-		return 0, err
-	}
-	return b.store.ReadWord(f, rel)
+	return b.touch(off, false, 0)
 }
 
 // WriteWord implements machine.Backing.
 func (b *PagedBacking) WriteWord(off int, val uint64) error {
-	f, rel, err := b.locate(off)
-	if err != nil {
-		return err
+	_, err := b.touch(off, true, val)
+	return err
+}
+
+// touch locates the page holding word off and reads or writes the word,
+// all under one hold of the store lock, so the page cannot leave its frame
+// between the two steps.
+func (b *PagedBacking) touch(off int, write bool, val uint64) (uint64, error) {
+	s := b.store
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sp, ok := s.segs[b.uid]
+	if !ok {
+		return 0, fmt.Errorf("%w: segment %#x", ErrSegmentGone, b.uid)
 	}
-	return b.store.WriteWord(f, rel, val)
+	if off < 0 || off >= sp.length {
+		return 0, fmt.Errorf("%w: offset %d, segment %#x length %d", ErrOutOfRange, off, b.uid, sp.length)
+	}
+	page := off / s.cfg.PageWords
+	loc, ok := sp.pages[page]
+	if !ok || loc.Level != LevelCore {
+		return 0, &machine.PageFault{Page: page, SegTag: b.uid}
+	}
+	return s.wordLocked(loc.Frame, off%s.cfg.PageWords, write, val)
 }
 
 // Length implements machine.Backing.
 func (b *PagedBacking) Length() int {
-	sp, ok := b.store.Segment(b.uid)
-	if !ok {
-		return 0
-	}
-	return sp.Length()
+	length, _ := b.store.SegmentLength(b.uid)
+	return length
 }

@@ -36,8 +36,9 @@ type BlockWrite struct {
 }
 
 // BackingStore is the durable block layer under the memory hierarchy. All
-// implementations must be safe for concurrent use; the store calls them
-// from every worker.
+// implementations must be safe for concurrent use: the Store calls them
+// with its lock held, and checkpoint and restore call them directly. An
+// implementation must not call back into the Store.
 //
 // The batch methods (ReadBlocks/WriteBlocks) take a set of blocks in one
 // round trip to the device: one lock acquisition for the volatile store,

@@ -54,8 +54,10 @@ func (op IOOp) String() string {
 // both do, with bounded attempts.
 var ErrIO = errors.New("mem: backing store I/O error")
 
-// FaultHook interposes on backing-store transfers. Implementations must
-// be safe for concurrent use; the store calls them from every worker.
+// FaultHook interposes on backing-store transfers. The store calls
+// PageIO and PageOut with its lock held, so an implementation must not
+// call back into the Store, and it sees the store's transfers one at a
+// time.
 type FaultHook interface {
 	// PageIO is consulted before each transfer of pid. A non-nil error
 	// (which must wrap ErrIO) aborts the transfer with no state change;
@@ -67,32 +69,28 @@ type FaultHook interface {
 	PageOut(op IOOp, pid PageID, data []uint64)
 }
 
-// faultHookBox wraps the interface so it can sit in an atomic.Pointer.
-type faultHookBox struct{ h FaultHook }
-
 // SetFaultHook installs h as the store's transfer interposer; nil
-// removes it. Safe to call concurrently with transfers, though the
-// usual pattern installs the hook once at kernel construction.
+// removes it. It takes the store lock, so it is safe beside transfers,
+// though the usual pattern installs the hook once at kernel construction.
 func (s *Store) SetFaultHook(h FaultHook) {
-	if h == nil {
-		s.hook.Store(nil)
-		return
-	}
-	s.hook.Store(&faultHookBox{h: h})
+	s.mu.Lock()
+	s.hook = h
+	s.mu.Unlock()
 }
 
-// checkIO consults the hook, if any, before a transfer.
+// checkIO consults the hook, if any, before a transfer. The caller holds
+// the store lock.
 func (s *Store) checkIO(op IOOp, pid PageID) error {
-	if b := s.hook.Load(); b != nil {
-		return b.h.PageIO(op, pid)
+	if s.hook != nil {
+		return s.hook.PageIO(op, pid)
 	}
 	return nil
 }
 
 // pageOut shows the hook, if any, the data of a committed write-direction
-// transfer.
+// transfer. The caller holds the store lock.
 func (s *Store) pageOut(op IOOp, pid PageID, data []uint64) {
-	if b := s.hook.Load(); b != nil {
-		b.h.PageOut(op, pid, data)
+	if s.hook != nil {
+		s.hook.PageOut(op, pid, data)
 	}
 }

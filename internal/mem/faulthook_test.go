@@ -39,7 +39,7 @@ func (h *scriptedHook) PageOut(op IOOp, pid PageID, data []uint64) {
 
 func TestFaultHookAbortLeavesStateClean(t *testing.T) {
 	s := newStore(t, smallConfig())
-	if _, err := s.CreateSegment(1, 64); err != nil {
+	if err := s.CreateSegment(1, 64); err != nil {
 		t.Fatal(err)
 	}
 	hook := &scriptedHook{failLeft: 2, tearWord: -1}
@@ -70,7 +70,7 @@ func TestFaultHookAbortLeavesStateClean(t *testing.T) {
 
 func TestFaultHookTornWriteVisibleAfterRoundTrip(t *testing.T) {
 	s := newStore(t, smallConfig())
-	if _, err := s.CreateSegment(1, 64); err != nil {
+	if err := s.CreateSegment(1, 64); err != nil {
 		t.Fatal(err)
 	}
 	pid := PageID{SegUID: 1, Index: 0}
@@ -105,7 +105,7 @@ func TestFaultHookTornWriteVisibleAfterRoundTrip(t *testing.T) {
 
 func TestFaultHookRemovable(t *testing.T) {
 	s := newStore(t, smallConfig())
-	if _, err := s.CreateSegment(1, 64); err != nil {
+	if err := s.CreateSegment(1, 64); err != nil {
 		t.Fatal(err)
 	}
 	hook := &scriptedHook{failLeft: 1 << 30, tearWord: -1}

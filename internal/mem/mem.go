@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/metrics"
 )
@@ -78,7 +77,7 @@ type Config struct {
 	// DiskRead/DiskWrite are disk transfer latencies.
 	DiskRead, DiskWrite int64
 	// Metrics, when set, is the registry the store publishes its
-	// transfer and contention counters into (mem.* names). When nil the
+	// transfer counters into (mem.* names). When nil the
 	// store uses a private registry so Stats keeps working standalone.
 	Metrics *metrics.Registry
 	// Backing, when set, is the durable block layer under the disk
@@ -129,15 +128,6 @@ type TransferStats struct {
 	ZeroFills  int64 `json:"zero_fills"`
 }
 
-// ContentionStats reports store-level contention: how often an allocation
-// had to steal a free frame or block from another shard's free list, either
-// because its home shard was drained by contending allocators or because the
-// free population is unbalanced.
-type ContentionStats struct {
-	FrameSteals int64 `json:"frame_steals"`
-	BlockSteals int64 `json:"block_steals"`
-}
-
 type frame struct {
 	free     bool
 	pid      PageID
@@ -153,39 +143,26 @@ type block struct {
 	data []uint64
 }
 
-// Lock-striping geometry. Free lists are sharded so concurrent allocators
-// rarely meet; frame and block metadata is striped so word access and
-// transfers on different frames never share a lock.
+// numShards is the number of home free lists. A page's home list
+// (homeShard) and the fixed order in which an allocation falls through to
+// the other lists decide which frame or block it gets, so they fix every
+// victim order and digest downstream.
 const (
-	numShards  = 8
-	shardMask  = numShards - 1
-	numStripes = 64
-	stripeMask = numStripes - 1
+	numShards = 8
+	shardMask = numShards - 1
 )
 
-// freeShard is one shard of a free list (LIFO within the shard).
-type freeShard struct {
-	mu  sync.Mutex
-	ids []int
-}
-
 // Store is the whole simulated memory hierarchy plus the page tables of all
-// segments. It is safe for concurrent use: page-table operations serialize
-// per segment, frame/block metadata is lock-striped, the free lists are
-// sharded, and transfer statistics are atomics — there is no global lock.
+// segments. It is safe for concurrent use: one mutex guards the frame and
+// block tables, the segment map, every page table, the free lists and the
+// fault hook. A method holds it across everything it reads and changes, so
+// a page cannot move between being located and being touched. Transfer counters
+// are metrics-registry atomics and need no lock.
 //
-// Lock order (outermost first): segs map -> one segment's page table -> one
-// frame/block stripe -> free-list shard or the backing store's own lock. No
-// operation ever holds two segments' page tables or two stripes at once; a
-// transfer that touches both a frame and a block finishes with one before
-// locking the other.
+// Lock order: the store lock, then the backing store's or the fault hook's
+// own lock. Neither may call back into the Store.
 type Store struct {
 	cfg Config
-
-	frames  []frame
-	frameMu [numStripes]sync.Mutex
-	blocks  []block
-	blockMu [numStripes]sync.Mutex
 
 	// backing is the durable block layer serving LevelDisk. It may also
 	// hold stale copies of pages whose live location is core or bulk —
@@ -193,44 +170,33 @@ type Store struct {
 	// a real disk copy goes stale when the page is later dirtied in core.
 	backing BackingStore
 
-	// segMu guards the segs map only; each SegmentPages has its own lock.
-	segMu sync.RWMutex
-	segs  map[uint64]*SegmentPages
+	mu     sync.Mutex
+	frames []frame
+	blocks []block
+	segs   map[uint64]*segmentPages
+	// freeFrames and freeBlocks are the home free lists, LIFO each.
+	freeFrames [numShards][]int
+	freeBlocks [numShards][]int
+	// hook, when set, interposes on every backing-store transfer; see
+	// faulthook.go.
+	hook FaultHook
 
-	freeFrames [numShards]freeShard
-	freeBlocks [numShards]freeShard
-
-	// Transfer and contention counts live in the unified metrics
-	// registry; these are pre-resolved handles, so the hot path is the
-	// same single atomic add it was when the fields were raw atomics.
+	// Transfer counts live in the unified metrics registry; these are
+	// pre-resolved handles. frameSteals and blockSteals count the
+	// allocations that left the page's home free list (takeFree), not
+	// lock contention.
 	bulkToCore, diskToCore   *metrics.Counter
 	coreToBulk, coreToDisk   *metrics.Counter
 	bulkToDisk, diskToBulk   *metrics.Counter
 	zeroFills                *metrics.Counter
 	frameSteals, blockSteals *metrics.Counter
 	ckptFlushes              *metrics.Counter
-
-	// hook, when set, interposes on every backing-store transfer; see
-	// faulthook.go.
-	hook atomic.Pointer[faultHookBox]
 }
 
-// SegmentPages is the page table of one segment. All access to it goes
-// through the owning Store, which serializes page transitions per segment.
-type SegmentPages struct {
-	UID uint64
-
-	mu      sync.Mutex
-	length  int // length in words
-	pages   map[int]Location
-	deleted bool
-}
-
-// Length returns the segment length in words.
-func (s *SegmentPages) Length() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.length
+// segmentPages is the page table of one segment, guarded by the store lock.
+type segmentPages struct {
+	length int // length in words
+	pages  map[int]Location
 }
 
 // NewStore returns an empty hierarchy.
@@ -251,7 +217,7 @@ func NewStore(cfg Config) (*Store, error) {
 		frames:      make([]frame, cfg.CoreFrames),
 		blocks:      make([]block, cfg.BulkBlocks),
 		backing:     backing,
-		segs:        make(map[uint64]*SegmentPages),
+		segs:        make(map[uint64]*segmentPages),
 		bulkToCore:  reg.Counter("mem.bulk_to_core"),
 		diskToCore:  reg.Counter("mem.disk_to_core"),
 		coreToBulk:  reg.Counter("mem.core_to_bulk"),
@@ -265,13 +231,11 @@ func NewStore(cfg Config) (*Store, error) {
 	}
 	for i := range st.frames {
 		st.frames[i].free = true
-		sh := &st.freeFrames[i&shardMask]
-		sh.ids = append(sh.ids, i)
+		putFree(&st.freeFrames, i)
 	}
 	for i := range st.blocks {
 		st.blocks[i].free = true
-		sh := &st.freeBlocks[i&shardMask]
-		sh.ids = append(sh.ids, i)
+		putFree(&st.freeBlocks, i)
 	}
 	return st, nil
 }
@@ -295,84 +259,83 @@ func (s *Store) Stats() TransferStats {
 	}
 }
 
-// ContentionCounters returns the free-list steal counts.
-func (s *Store) ContentionCounters() ContentionStats {
-	return ContentionStats{
-		FrameSteals: s.frameSteals.Value(),
-		BlockSteals: s.blockSteals.Value(),
-	}
-}
-
-// seg returns the page table for uid under the map lock only.
-func (s *Store) seg(uid uint64) (*SegmentPages, bool) {
-	s.segMu.RLock()
+// segLocked returns the page table of uid, or the store's "does not exist"
+// error. The caller holds the store lock.
+func (s *Store) segLocked(uid uint64) (*segmentPages, error) {
 	sp, ok := s.segs[uid]
-	s.segMu.RUnlock()
-	return sp, ok
+	if !ok {
+		return nil, fmt.Errorf("mem: segment %#x does not exist", uid)
+	}
+	return sp, nil
 }
 
 // CreateSegment registers a segment of length words, with all pages
 // unmaterialized. It fails if the UID is already in use.
-func (s *Store) CreateSegment(uid uint64, length int) (*SegmentPages, error) {
+func (s *Store) CreateSegment(uid uint64, length int) error {
 	if length < 0 {
-		return nil, fmt.Errorf("mem: negative segment length %d", length)
+		return fmt.Errorf("mem: negative segment length %d", length)
 	}
-	s.segMu.Lock()
-	defer s.segMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if _, ok := s.segs[uid]; ok {
-		return nil, fmt.Errorf("mem: segment %#x already exists", uid)
+		return fmt.Errorf("mem: segment %#x already exists", uid)
 	}
-	sp := &SegmentPages{UID: uid, length: length, pages: make(map[int]Location)}
-	s.segs[uid] = sp
-	return sp, nil
+	s.segs[uid] = &segmentPages{length: length, pages: make(map[int]Location)}
+	return nil
 }
 
-// Segment returns the page table for uid.
-func (s *Store) Segment(uid uint64) (*SegmentPages, bool) {
-	return s.seg(uid)
+// SegmentLength returns the length in words of segment uid; ok is false
+// when no such segment exists.
+func (s *Store) SegmentLength(uid uint64) (length int, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sp, ok := s.segs[uid]
+	if !ok {
+		return 0, false
+	}
+	return sp.length, true
 }
 
 // SegmentUIDs returns the UIDs of all registered segments, sorted.
 func (s *Store) SegmentUIDs() []uint64 {
-	s.segMu.RLock()
+	s.mu.Lock()
 	out := make([]uint64, 0, len(s.segs))
 	for uid := range s.segs {
 		out = append(out, uid)
 	}
-	s.segMu.RUnlock()
+	s.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // DeleteSegment releases every page of uid at every level.
 func (s *Store) DeleteSegment(uid uint64) error {
-	s.segMu.Lock()
-	sp, ok := s.segs[uid]
-	if !ok {
-		s.segMu.Unlock()
-		return fmt.Errorf("mem: segment %#x does not exist", uid)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sp, err := s.segLocked(uid)
+	if err != nil {
+		return err
 	}
 	delete(s.segs, uid)
-	s.segMu.Unlock()
-
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	sp.deleted = true
 	for idx, loc := range sp.pages {
 		s.releasePage(PageID{SegUID: uid, Index: idx}, loc)
-		delete(sp.pages, idx)
 	}
 	return nil
 }
 
 // releasePage returns a page's storage to the free pools. The caller holds
-// the owning segment's lock, which pins the location.
+// the store lock and removes the page from its page table.
 func (s *Store) releasePage(pid PageID, loc Location) {
 	switch loc.Level {
 	case LevelCore:
-		s.releaseFrame(loc.Frame)
+		// The frame keeps its page memory: the page is gone, so nothing
+		// else can hold the slice, and the next zero-fill of this frame
+		// clears and reuses it (materializeZeroLocked).
+		s.frames[loc.Frame] = frame{free: true, data: s.frames[loc.Frame].data}
+		putFree(&s.freeFrames, int(loc.Frame))
 	case LevelBulk:
-		s.releaseBlock(loc.Block)
+		s.blocks[loc.Block] = block{free: true}
+		putFree(&s.freeBlocks, int(loc.Block))
 	}
 	// Drop the durable copy regardless of the live level: a checkpoint
 	// flush may have left one behind a core- or bulk-resident page. A
@@ -384,19 +347,16 @@ func (s *Store) releasePage(pid PageID, loc Location) {
 // SetLength grows or shrinks a segment. Shrinking releases pages beyond the
 // new length.
 func (s *Store) SetLength(uid uint64, length int) error {
-	sp, ok := s.seg(uid)
-	if !ok {
-		return fmt.Errorf("mem: segment %#x does not exist", uid)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sp, err := s.segLocked(uid)
+	if err != nil {
+		return err
 	}
 	if length < 0 {
 		return fmt.Errorf("mem: negative segment length %d", length)
 	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if sp.deleted {
-		return fmt.Errorf("mem: segment %#x does not exist", uid)
-	}
-	lastPage := (length + s.cfg.PageWords - 1) / s.cfg.PageWords
+	lastPage := s.pagesIn(length)
 	for idx, loc := range sp.pages {
 		if idx < lastPage {
 			continue
@@ -408,6 +368,16 @@ func (s *Store) SetLength(uid uint64, length int) error {
 	return nil
 }
 
+// pagesIn returns the number of pages a segment of length words spans,
+// without the overflow rounding up by addition would risk near MaxInt.
+func (s *Store) pagesIn(length int) int {
+	n := length / s.cfg.PageWords
+	if length%s.cfg.PageWords != 0 {
+		n++
+	}
+	return n
+}
+
 // Discard releases one page of a segment at whatever level it lives,
 // without shrinking the segment: a later reference materializes the page
 // again, zero-filled. It is the primitive behind the infinite I/O buffer's
@@ -415,14 +385,11 @@ func (s *Store) SetLength(uid uint64, length int) error {
 // fully-consumed pages return their storage to the standard free pools.
 // Discarding an unmaterialized page is a no-op.
 func (s *Store) Discard(pid PageID) error {
-	sp, ok := s.seg(pid.SegUID)
-	if !ok {
-		return fmt.Errorf("mem: segment %#x does not exist", pid.SegUID)
-	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if sp.deleted {
-		return fmt.Errorf("mem: segment %#x does not exist", pid.SegUID)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sp, err := s.segLocked(pid.SegUID)
+	if err != nil {
+		return err
 	}
 	loc, ok := sp.pages[pid.Index]
 	if !ok {
@@ -435,12 +402,12 @@ func (s *Store) Discard(pid PageID) error {
 
 // Locate returns where a page of uid currently lives.
 func (s *Store) Locate(pid PageID) (Location, error) {
-	sp, ok := s.seg(pid.SegUID)
-	if !ok {
-		return Location{}, fmt.Errorf("mem: segment %#x does not exist", pid.SegUID)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sp, err := s.segLocked(pid.SegUID)
+	if err != nil {
+		return Location{}, err
 	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
 	loc, ok := sp.pages[pid.Index]
 	if !ok {
 		return Location{Level: LevelNone}, nil
@@ -450,59 +417,52 @@ func (s *Store) Locate(pid PageID) (Location, error) {
 
 // FreeFrameCount returns the number of free primary-memory frames.
 func (s *Store) FreeFrameCount() int {
-	n := 0
-	for i := range s.freeFrames {
-		sh := &s.freeFrames[i]
-		sh.mu.Lock()
-		n += len(sh.ids)
-		sh.mu.Unlock()
-	}
-	return n
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return countFree(&s.freeFrames)
 }
 
 // FreeBlockCount returns the number of free bulk-store blocks.
 func (s *Store) FreeBlockCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return countFree(&s.freeBlocks)
+}
+
+func countFree(lists *[numShards][]int) int {
 	n := 0
-	for i := range s.freeBlocks {
-		sh := &s.freeBlocks[i]
-		sh.mu.Lock()
-		n += len(sh.ids)
-		sh.mu.Unlock()
+	for _, ids := range lists {
+		n += len(ids)
 	}
 	return n
 }
 
-// homeShard spreads allocations for different pages over the shards while
-// keeping the choice deterministic for a given page.
+// homeShard spreads allocations for different pages over the home lists
+// while keeping the choice deterministic for a given page.
 func homeShard(pid PageID) int {
 	return int((pid.SegUID*31 + uint64(pid.Index)) & shardMask)
 }
 
-// takeFree pops a free ID, starting at the page's home shard and stealing
-// from the others in deterministic order when it is empty.
-func takeFree(shards *[numShards]freeShard, home int, steals *metrics.Counter) (int, bool) {
+// takeFree pops a free ID, starting at the page's home list and falling
+// through to the others in fixed order when it is empty. steals counts the
+// allocations that left the home list.
+func takeFree(lists *[numShards][]int, home int, steals *metrics.Counter) (int, bool) {
 	for i := 0; i < numShards; i++ {
-		sh := &shards[(home+i)&shardMask]
-		sh.mu.Lock()
-		if n := len(sh.ids); n > 0 {
-			id := sh.ids[n-1]
-			sh.ids = sh.ids[:n-1]
-			sh.mu.Unlock()
+		ids := &lists[(home+i)&shardMask]
+		if n := len(*ids); n > 0 {
+			id := (*ids)[n-1]
+			*ids = (*ids)[:n-1]
 			if i != 0 {
 				steals.Add(1)
 			}
 			return id, true
 		}
-		sh.mu.Unlock()
 	}
 	return 0, false
 }
 
-func putFree(shards *[numShards]freeShard, id int) {
-	sh := &shards[id&shardMask]
-	sh.mu.Lock()
-	sh.ids = append(sh.ids, id)
-	sh.mu.Unlock()
+func putFree(lists *[numShards][]int, id int) {
+	lists[id&shardMask] = append(lists[id&shardMask], id)
 }
 
 func (s *Store) takeFrame(pid PageID) (FrameID, bool) {
@@ -515,35 +475,6 @@ func (s *Store) takeBlock(pid PageID) (BlockID, bool) {
 	return BlockID(id), ok
 }
 
-// releaseFrame clears frame metadata and returns the frame to its free-list
-// shard. The frame keeps its page memory: the page is gone, so nothing else
-// can hold the slice, and the next zero-fill of this frame clears and reuses
-// it (installZero). The caller must not hold the frame's stripe.
-func (s *Store) releaseFrame(f FrameID) {
-	s.frameMu[int(f)&stripeMask].Lock()
-	fr := &s.frames[f]
-	if fr.free {
-		s.frameMu[int(f)&stripeMask].Unlock()
-		return
-	}
-	*fr = frame{free: true, data: fr.data}
-	s.frameMu[int(f)&stripeMask].Unlock()
-	putFree(&s.freeFrames, int(f))
-}
-
-// releaseBlock is the bulk-store analogue of releaseFrame.
-func (s *Store) releaseBlock(b BlockID) {
-	s.blockMu[int(b)&stripeMask].Lock()
-	bl := &s.blocks[b]
-	if bl.free {
-		s.blockMu[int(b)&stripeMask].Unlock()
-		return
-	}
-	*bl = block{free: true}
-	s.blockMu[int(b)&stripeMask].Unlock()
-	putFree(&s.freeBlocks, int(b))
-}
-
 // ErrNoFreeFrame is returned when a page-in needs a core frame and none is
 // free. Page control reacts by freeing one (the design under test).
 var ErrNoFreeFrame = errors.New("mem: no free primary memory frame")
@@ -551,30 +482,31 @@ var ErrNoFreeFrame = errors.New("mem: no free primary memory frame")
 // ErrNoFreeBlock is the bulk-store analogue of ErrNoFreeFrame.
 var ErrNoFreeBlock = errors.New("mem: no free bulk store block")
 
-// ErrBusy is returned when a frame or block changed state between the
-// caller's observation and the transfer — a concurrent operation raced it
-// away (evicted it, discarded it, or reused it for another page). Page
-// control reacts by choosing another victim.
+// ErrBusy reports that a frame or block changed state between a caller's
+// observation and the transfer it asked for. Page control reacts by
+// choosing another victim and iosys by retrying. The Store holds its lock
+// across every transfer, so it never raises ErrBusy itself; the sentinel
+// is the contract for fault hooks and other layers that do.
 var ErrBusy = errors.New("mem: frame or block changed state during transfer")
 
 // MaterializeZero brings an unmaterialized page into core as zeros. It
 // consumes a free frame and charges no transfer latency (zero-fill is a
 // core-speed operation).
 func (s *Store) MaterializeZero(pid PageID) (FrameID, error) {
-	sp, ok := s.seg(pid.SegUID)
-	if !ok {
-		return 0, fmt.Errorf("mem: segment %#x does not exist", pid.SegUID)
-	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if sp.deleted {
-		return 0, fmt.Errorf("mem: segment %#x does not exist", pid.SegUID)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sp, err := s.segLocked(pid.SegUID)
+	if err != nil {
+		return 0, err
 	}
 	return s.materializeZeroLocked(sp, pid)
 }
 
-// materializeZeroLocked is MaterializeZero with the segment lock held.
-func (s *Store) materializeZeroLocked(sp *SegmentPages, pid PageID) (FrameID, error) {
+// materializeZeroLocked is MaterializeZero with the store lock held. It
+// reuses the page memory a released frame kept; the clear is the
+// object-reuse guarantee: a recycled frame never shows its last owner's
+// words.
+func (s *Store) materializeZeroLocked(sp *segmentPages, pid PageID) (FrameID, error) {
 	if loc, ok := sp.pages[pid.Index]; ok {
 		return 0, fmt.Errorf("mem: page %v already materialized at %v", pid, loc.Level)
 	}
@@ -582,54 +514,40 @@ func (s *Store) materializeZeroLocked(sp *SegmentPages, pid PageID) (FrameID, er
 	if !ok {
 		return 0, ErrNoFreeFrame
 	}
-	s.installZero(f, pid)
-	sp.pages[pid.Index] = Location{Level: LevelCore, Frame: f}
-	s.zeroFills.Inc()
-	return f, nil
-}
-
-// installZero publishes a zero-filled page into a freshly allocated frame,
-// reusing the page memory a released frame kept. The clear is the
-// object-reuse guarantee: a recycled frame never shows its last owner's
-// words.
-func (s *Store) installZero(f FrameID, pid PageID) {
-	s.frameMu[int(f)&stripeMask].Lock()
-	fr := &s.frames[f]
-	data := fr.data
+	data := s.frames[f].data
 	if len(data) == s.cfg.PageWords {
 		clear(data)
 	} else {
 		data = make([]uint64, s.cfg.PageWords)
 	}
-	*fr = frame{pid: pid, data: data, used: true}
-	s.frameMu[int(f)&stripeMask].Unlock()
+	s.frames[f] = frame{pid: pid, data: data, used: true}
+	sp.pages[pid.Index] = Location{Level: LevelCore, Frame: f}
+	s.zeroFills.Inc()
+	return f, nil
 }
 
-// installFrame publishes page data into a freshly allocated frame.
-func (s *Store) installFrame(f FrameID, pid PageID, data []uint64) {
-	s.frameMu[int(f)&stripeMask].Lock()
+// installLocked puts page data into frame f, which the caller took from
+// the free list, and records the page there.
+func (s *Store) installLocked(sp *segmentPages, f FrameID, pid PageID, data []uint64) {
 	s.frames[f] = frame{pid: pid, data: data, used: true}
-	s.frameMu[int(f)&stripeMask].Unlock()
+	sp.pages[pid.Index] = Location{Level: LevelCore, Frame: f}
 }
 
 // PageIn transfers a page from bulk or disk into a free core frame and
 // returns the frame plus the transfer latency charged to whoever waited.
 func (s *Store) PageIn(pid PageID) (FrameID, int64, error) {
-	sp, ok := s.seg(pid.SegUID)
-	if !ok {
-		return 0, 0, fmt.Errorf("mem: segment %#x does not exist", pid.SegUID)
-	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if sp.deleted {
-		return 0, 0, fmt.Errorf("mem: segment %#x does not exist", pid.SegUID)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sp, err := s.segLocked(pid.SegUID)
+	if err != nil {
+		return 0, 0, err
 	}
 	return s.pageInLocked(sp, pid)
 }
 
-// pageInLocked is PageIn with the segment lock held. A core-resident page
+// pageInLocked is PageIn with the store lock held. A core-resident page
 // costs nothing and never consults the fault hook.
-func (s *Store) pageInLocked(sp *SegmentPages, pid PageID) (FrameID, int64, error) {
+func (s *Store) pageInLocked(sp *segmentPages, pid PageID) (FrameID, int64, error) {
 	loc, ok := sp.pages[pid.Index]
 	if !ok {
 		if err := s.checkIO(OpMaterialize, pid); err != nil {
@@ -649,16 +567,10 @@ func (s *Store) pageInLocked(sp *SegmentPages, pid PageID) (FrameID, int64, erro
 		if !ok {
 			return 0, 0, ErrNoFreeFrame
 		}
-		// Pull the data out and free the block under its own stripe, then
-		// fill the frame — never two stripes at once.
-		bi := int(loc.Block) & stripeMask
-		s.blockMu[bi].Lock()
 		data := s.blocks[loc.Block].data
 		s.blocks[loc.Block] = block{free: true}
-		s.blockMu[bi].Unlock()
 		putFree(&s.freeBlocks, int(loc.Block))
-		s.installFrame(f, pid, data)
-		sp.pages[pid.Index] = Location{Level: LevelCore, Frame: f}
+		s.installLocked(sp, f, pid, data)
 		s.bulkToCore.Inc()
 		return f, s.cfg.BulkRead, nil
 	case LevelDisk:
@@ -674,8 +586,7 @@ func (s *Store) pageInLocked(sp *SegmentPages, pid PageID) (FrameID, int64, erro
 			putFree(&s.freeFrames, int(f))
 			return 0, 0, fmt.Errorf("mem: disk read of %v: %w", pid, err)
 		}
-		s.installFrame(f, pid, data)
-		sp.pages[pid.Index] = Location{Level: LevelCore, Frame: f}
+		s.installLocked(sp, f, pid, data)
 		s.diskToCore.Inc()
 		return f, s.cfg.DiskRead, nil
 	default:
@@ -683,71 +594,41 @@ func (s *Store) pageInLocked(sp *SegmentPages, pid PageID) (FrameID, int64, erro
 	}
 }
 
-// claimFrameForEviction validates that frame f is still occupied, unwired,
-// and (on the second look) still holds the page first observed, then strips
-// it and returns the page data. The caller holds the owning segment's lock
-// on the second look, so the page cannot move concurrently.
-func (s *Store) peekFrame(f FrameID) (PageID, error) {
-	fi := int(f) & stripeMask
-	s.frameMu[fi].Lock()
-	defer s.frameMu[fi].Unlock()
+// evictableLocked returns the page in frame f and its page table, or an
+// error if f is out of range, free or wired. An occupied frame's segment
+// always exists: DeleteSegment frees its frames under the same lock.
+func (s *Store) evictableLocked(f FrameID) (PageID, *segmentPages, error) {
+	if int(f) < 0 || int(f) >= len(s.frames) {
+		return PageID{}, nil, fmt.Errorf("mem: frame %d out of range", f)
+	}
 	fr := &s.frames[f]
 	if fr.free {
-		return PageID{}, fmt.Errorf("mem: frame %d is free", f)
+		return PageID{}, nil, fmt.Errorf("mem: frame %d is free", f)
 	}
 	if fr.wired {
-		return PageID{}, fmt.Errorf("mem: frame %d is wired", f)
+		return PageID{}, nil, fmt.Errorf("mem: frame %d is wired", f)
 	}
-	return fr.pid, nil
+	return fr.pid, s.segs[fr.pid.SegUID], nil
 }
 
-// stripFrame re-verifies frame f still holds pid and is evictable, then
-// frees it and returns the page data. The data leaves with the page (to a
-// bulk block or the backing store), so the freed frame keeps no slice.
-// Caller holds the segment lock of pid's segment.
-func (s *Store) stripFrame(f FrameID, pid PageID) ([]uint64, error) {
-	fi := int(f) & stripeMask
-	s.frameMu[fi].Lock()
-	fr := &s.frames[f]
-	if fr.free || fr.wired || fr.pid != pid {
-		s.frameMu[fi].Unlock()
-		return nil, fmt.Errorf("%w (frame %d)", ErrBusy, f)
-	}
-	data := fr.data
-	*fr = frame{free: true}
-	s.frameMu[fi].Unlock()
+// stripFrame frees frame f and returns its page data. The data leaves with
+// the page (to a bulk block or the backing store), so the freed frame
+// keeps no slice.
+func (s *Store) stripFrame(f FrameID) []uint64 {
+	data := s.frames[f].data
+	s.frames[f] = frame{free: true}
 	putFree(&s.freeFrames, int(f))
-	return data, nil
-}
-
-// evictTarget resolves the segment a frame's page belongs to. A missing
-// segment means a concurrent delete won the race.
-func (s *Store) evictTarget(pid PageID) (*SegmentPages, error) {
-	sp, ok := s.seg(pid.SegUID)
-	if !ok {
-		return nil, fmt.Errorf("%w (segment %#x deleted)", ErrBusy, pid.SegUID)
-	}
-	return sp, nil
+	return data
 }
 
 // EvictToBulk moves the page in frame f to a free bulk-store block,
 // returning the block and the latency.
 func (s *Store) EvictToBulk(f FrameID) (BlockID, int64, error) {
-	if int(f) < 0 || int(f) >= len(s.frames) {
-		return 0, 0, fmt.Errorf("mem: frame %d out of range", f)
-	}
-	pid, err := s.peekFrame(f)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	pid, sp, err := s.evictableLocked(f)
 	if err != nil {
 		return 0, 0, err
-	}
-	sp, err := s.evictTarget(pid)
-	if err != nil {
-		return 0, 0, err
-	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if sp.deleted {
-		return 0, 0, fmt.Errorf("%w (segment %#x deleted)", ErrBusy, pid.SegUID)
 	}
 	if err := s.checkIO(OpBulkWrite, pid); err != nil {
 		return 0, 0, err
@@ -756,16 +637,9 @@ func (s *Store) EvictToBulk(f FrameID) (BlockID, int64, error) {
 	if !ok {
 		return 0, 0, ErrNoFreeBlock
 	}
-	data, err := s.stripFrame(f, pid)
-	if err != nil {
-		putFree(&s.freeBlocks, int(b))
-		return 0, 0, err
-	}
+	data := s.stripFrame(f)
 	s.pageOut(OpBulkWrite, pid, data)
-	bi := int(b) & stripeMask
-	s.blockMu[bi].Lock()
 	s.blocks[b] = block{pid: pid, data: data}
-	s.blockMu[bi].Unlock()
 	sp.pages[pid.Index] = Location{Level: LevelBulk, Block: b}
 	s.coreToBulk.Inc()
 	return b, s.cfg.BulkWrite, nil
@@ -773,29 +647,16 @@ func (s *Store) EvictToBulk(f FrameID) (BlockID, int64, error) {
 
 // EvictToDisk moves the page in frame f directly to disk.
 func (s *Store) EvictToDisk(f FrameID) (int64, error) {
-	if int(f) < 0 || int(f) >= len(s.frames) {
-		return 0, fmt.Errorf("mem: frame %d out of range", f)
-	}
-	pid, err := s.peekFrame(f)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	pid, sp, err := s.evictableLocked(f)
 	if err != nil {
 		return 0, err
-	}
-	sp, err := s.evictTarget(pid)
-	if err != nil {
-		return 0, err
-	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if sp.deleted {
-		return 0, fmt.Errorf("%w (segment %#x deleted)", ErrBusy, pid.SegUID)
 	}
 	if err := s.checkIO(OpDiskWrite, pid); err != nil {
 		return 0, err
 	}
-	data, err := s.stripFrame(f, pid)
-	if err != nil {
-		return 0, err
-	}
+	data := s.stripFrame(f)
 	s.pageOut(OpDiskWrite, pid, data)
 	if err := s.backing.WriteBlock(pid, data); err != nil {
 		s.reinstatePage(sp, pid, data)
@@ -810,10 +671,9 @@ func (s *Store) EvictToDisk(f FrameID) (int64, error) {
 // into core after the backing store refused the write. If no frame is free
 // the page reverts to unmaterialized — the data is gone, which is exactly
 // what a device that fails mid-write does; the caller's error says so.
-func (s *Store) reinstatePage(sp *SegmentPages, pid PageID, data []uint64) {
+func (s *Store) reinstatePage(sp *segmentPages, pid PageID, data []uint64) {
 	if f, ok := s.takeFrame(pid); ok {
-		s.installFrame(f, pid, data)
-		sp.pages[pid.Index] = Location{Level: LevelCore, Frame: f}
+		s.installLocked(sp, f, pid, data)
 		return
 	}
 	delete(sp.pages, pid.Index)
@@ -826,39 +686,21 @@ func (s *Store) BulkToDisk(b BlockID) (int64, error) {
 	if int(b) < 0 || int(b) >= len(s.blocks) {
 		return 0, fmt.Errorf("mem: block %d out of range", b)
 	}
-	bi := int(b) & stripeMask
-	s.blockMu[bi].Lock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	bl := &s.blocks[b]
 	if bl.free {
-		s.blockMu[bi].Unlock()
 		return 0, fmt.Errorf("mem: block %d is free", b)
 	}
 	pid := bl.pid
-	s.blockMu[bi].Unlock()
-
-	sp, err := s.evictTarget(pid)
-	if err != nil {
-		return 0, err
-	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if sp.deleted {
-		return 0, fmt.Errorf("%w (segment %#x deleted)", ErrBusy, pid.SegUID)
-	}
 	if err := s.checkIO(OpBulkToDisk, pid); err != nil {
 		return 0, err
 	}
-	s.blockMu[bi].Lock()
-	bl = &s.blocks[b]
-	if bl.free || bl.pid != pid {
-		s.blockMu[bi].Unlock()
-		return 0, fmt.Errorf("%w (block %d)", ErrBusy, b)
-	}
 	data := bl.data
 	*bl = block{free: true}
-	s.blockMu[bi].Unlock()
 	putFree(&s.freeBlocks, int(b))
 
+	sp := s.segs[pid.SegUID]
 	s.pageOut(OpBulkToDisk, pid, data)
 	if err := s.backing.WriteBlock(pid, data); err != nil {
 		s.reinstatePage(sp, pid, data)
@@ -884,40 +726,35 @@ func (s *Store) FrameInfo(f FrameID) (Frame, error) {
 	if int(f) < 0 || int(f) >= len(s.frames) {
 		return Frame{}, fmt.Errorf("mem: frame %d out of range", f)
 	}
-	fi := int(f) & stripeMask
-	s.frameMu[fi].Lock()
-	defer s.frameMu[fi].Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	fr := &s.frames[f]
 	return Frame{ID: f, Free: fr.free, PID: fr.pid, Used: fr.used, Modified: fr.modified, Wired: fr.wired}, nil
 }
 
-// Frames returns metadata for every frame, for replacement policies. The
-// snapshot is per-frame consistent, not globally atomic.
+// Frames returns metadata for every frame, for replacement policies.
 func (s *Store) Frames() []Frame {
 	out := make([]Frame, len(s.frames))
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for i := range s.frames {
-		fi := i & stripeMask
-		s.frameMu[fi].Lock()
 		fr := &s.frames[i]
 		out[i] = Frame{ID: FrameID(i), Free: fr.free, PID: fr.pid, Used: fr.used, Modified: fr.modified, Wired: fr.wired}
-		s.frameMu[fi].Unlock()
 	}
 	return out
 }
 
 // AppendEvictable appends the occupied, unwired frames to dst in frame-ID
 // order and returns the extended slice: the replacement candidates, without
-// copying the whole frame table. Like Frames, the result is per-frame
-// consistent, not globally atomic.
+// copying the whole frame table.
 func (s *Store) AppendEvictable(dst []Frame) []Frame {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for i := range s.frames {
-		fi := i & stripeMask
-		s.frameMu[fi].Lock()
 		fr := &s.frames[i]
 		if !fr.free && !fr.wired {
 			dst = append(dst, Frame{ID: FrameID(i), PID: fr.pid, Used: fr.used, Modified: fr.modified})
 		}
-		s.frameMu[fi].Unlock()
 	}
 	return dst
 }
@@ -929,35 +766,31 @@ type Block struct {
 	PID  PageID
 }
 
-// Blocks returns metadata for every bulk-store block. The snapshot is
-// per-block consistent, not globally atomic.
+// Blocks returns metadata for every bulk-store block.
 func (s *Store) Blocks() []Block {
 	out := make([]Block, len(s.blocks))
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for i := range s.blocks {
-		bi := i & stripeMask
-		s.blockMu[bi].Lock()
 		bl := &s.blocks[i]
 		out[i] = Block{ID: BlockID(i), Free: bl.free, PID: bl.pid}
-		s.blockMu[bi].Unlock()
 	}
 	return out
 }
 
 // LowestBulkBlock returns the occupied bulk-store block holding the lowest
 // (SegUID, Index) page, scanning the block table in place; ties go to the
-// lowest block ID. ok is false when every block is free. Like Blocks, the
-// scan is per-block consistent, not globally atomic.
+// lowest block ID. ok is false when every block is free.
 func (s *Store) LowestBulkBlock() (id BlockID, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var best PageID
 	for i := range s.blocks {
-		bi := i & stripeMask
-		s.blockMu[bi].Lock()
 		bl := &s.blocks[i]
 		if !bl.free && (!ok || bl.pid.SegUID < best.SegUID ||
 			(bl.pid.SegUID == best.SegUID && bl.pid.Index < best.Index)) {
 			id, best, ok = BlockID(i), bl.pid, true
 		}
-		s.blockMu[bi].Unlock()
 	}
 	return id, ok
 }
@@ -967,10 +800,9 @@ func (s *Store) ResetUsage(f FrameID) error {
 	if int(f) < 0 || int(f) >= len(s.frames) {
 		return fmt.Errorf("mem: frame %d out of range", f)
 	}
-	fi := int(f) & stripeMask
-	s.frameMu[fi].Lock()
+	s.mu.Lock()
 	s.frames[f].used = false
-	s.frameMu[fi].Unlock()
+	s.mu.Unlock()
 	return nil
 }
 
@@ -979,9 +811,8 @@ func (s *Store) Wire(f FrameID, wired bool) error {
 	if int(f) < 0 || int(f) >= len(s.frames) {
 		return fmt.Errorf("mem: frame %d out of range", f)
 	}
-	fi := int(f) & stripeMask
-	s.frameMu[fi].Lock()
-	defer s.frameMu[fi].Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.frames[f].free {
 		return fmt.Errorf("mem: cannot wire free frame %d", f)
 	}
@@ -991,49 +822,46 @@ func (s *Store) Wire(f FrameID, wired bool) error {
 
 // ReadWord reads a word from a core-resident page.
 func (s *Store) ReadWord(f FrameID, off int) (uint64, error) {
-	if int(f) < 0 || int(f) >= len(s.frames) {
-		return 0, fmt.Errorf("mem: read of invalid frame %d", f)
-	}
-	fi := int(f) & stripeMask
-	s.frameMu[fi].Lock()
-	defer s.frameMu[fi].Unlock()
-	fr := &s.frames[f]
-	if fr.free {
-		return 0, fmt.Errorf("mem: read of invalid frame %d", f)
-	}
-	if off < 0 || off >= len(fr.data) {
-		return 0, fmt.Errorf("mem: frame offset %d out of range", off)
-	}
-	fr.used = true
-	return fr.data[off], nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.wordLocked(f, off, false, 0)
 }
 
 // WriteWord writes a word to a core-resident page.
 func (s *Store) WriteWord(f FrameID, off int, val uint64) error {
-	if int(f) < 0 || int(f) >= len(s.frames) {
-		return fmt.Errorf("mem: write of invalid frame %d", f)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, err := s.wordLocked(f, off, true, val)
+	return err
+}
+
+// wordLocked reads word off of occupied frame f, or writes val there when
+// write is set, marking the frame referenced (and modified on a write).
+func (s *Store) wordLocked(f FrameID, off int, write bool, val uint64) (uint64, error) {
+	verb := "read"
+	if write {
+		verb = "write"
 	}
-	fi := int(f) & stripeMask
-	s.frameMu[fi].Lock()
-	defer s.frameMu[fi].Unlock()
+	if int(f) < 0 || int(f) >= len(s.frames) || s.frames[f].free {
+		return 0, fmt.Errorf("mem: %s of invalid frame %d", verb, f)
+	}
 	fr := &s.frames[f]
-	if fr.free {
-		return fmt.Errorf("mem: write of invalid frame %d", f)
-	}
 	if off < 0 || off >= len(fr.data) {
-		return fmt.Errorf("mem: frame offset %d out of range", off)
+		return 0, fmt.Errorf("mem: frame offset %d out of range", off)
 	}
 	fr.used = true
+	if !write {
+		return fr.data[off], nil
+	}
 	fr.modified = true
 	fr.data[off] = val
-	return nil
+	return 0, nil
 }
 
 // ReadWords copies len(dst) words of page pid, starting at word off, into
-// dst: one segment lookup and one frame-stripe lock for the whole run. A
-// page not in core is brought in first exactly as PageIn would, consulting
-// the fault hook, so an injected ErrIO leaves the store unchanged and the
-// call is safe to retry.
+// dst: one store call for the whole run. A page not in core is brought in
+// first exactly as PageIn would, consulting the fault hook, so an injected
+// ErrIO leaves the store unchanged and the call is safe to retry.
 func (s *Store) ReadWords(pid PageID, off int, dst []uint64) error {
 	return s.transferWords(pid, off, dst, 0, false)
 }
@@ -1045,21 +873,18 @@ func (s *Store) WriteWords(pid PageID, off int, src []uint64, minLength int) err
 	return s.transferWords(pid, off, src, minLength, true)
 }
 
-// transferWords is the body of ReadWords and WriteWords. The segment lock
+// transferWords is the body of ReadWords and WriteWords. The store lock
 // pins the page in its frame for the whole copy, so the words can never
 // land in a frame that was evicted or reused between locating and copying.
 func (s *Store) transferWords(pid PageID, off int, buf []uint64, minLength int, write bool) error {
 	if off < 0 || off+len(buf) > s.cfg.PageWords {
 		return fmt.Errorf("mem: words [%d,%d) outside a %d-word page", off, off+len(buf), s.cfg.PageWords)
 	}
-	sp, ok := s.seg(pid.SegUID)
-	if !ok {
-		return fmt.Errorf("mem: segment %#x does not exist", pid.SegUID)
-	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if sp.deleted {
-		return fmt.Errorf("mem: segment %#x does not exist", pid.SegUID)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sp, err := s.segLocked(pid.SegUID)
+	if err != nil {
+		return err
 	}
 	if sp.length < minLength {
 		sp.length = minLength
@@ -1068,13 +893,7 @@ func (s *Store) transferWords(pid PageID, off int, buf []uint64, minLength int, 
 	if err != nil {
 		return err
 	}
-	fi := int(f) & stripeMask
-	s.frameMu[fi].Lock()
-	defer s.frameMu[fi].Unlock()
 	fr := &s.frames[f]
-	if fr.free || fr.pid != pid {
-		return fmt.Errorf("%w (frame %d)", ErrBusy, f)
-	}
 	fr.used = true
 	if write {
 		fr.modified = true

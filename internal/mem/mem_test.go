@@ -2,6 +2,7 @@ package mem
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -41,13 +42,13 @@ func TestConfigValidation(t *testing.T) {
 
 func TestCreateAndDeleteSegment(t *testing.T) {
 	s := newStore(t, smallConfig())
-	if _, err := s.CreateSegment(1, 16); err != nil {
+	if err := s.CreateSegment(1, 16); err != nil {
 		t.Fatalf("CreateSegment: %v", err)
 	}
-	if _, err := s.CreateSegment(1, 16); err == nil {
+	if err := s.CreateSegment(1, 16); err == nil {
 		t.Error("duplicate UID should fail")
 	}
-	if _, err := s.CreateSegment(2, -1); err == nil {
+	if err := s.CreateSegment(2, -1); err == nil {
 		t.Error("negative length should fail")
 	}
 	if err := s.DeleteSegment(1); err != nil {
@@ -60,7 +61,7 @@ func TestCreateAndDeleteSegment(t *testing.T) {
 
 func TestZeroFillMaterialization(t *testing.T) {
 	s := newStore(t, smallConfig())
-	if _, err := s.CreateSegment(1, 16); err != nil {
+	if err := s.CreateSegment(1, 16); err != nil {
 		t.Fatal(err)
 	}
 	pid := PageID{SegUID: 1, Index: 0}
@@ -86,7 +87,7 @@ func TestZeroFillMaterialization(t *testing.T) {
 
 func TestEvictionRoundTrip(t *testing.T) {
 	s := newStore(t, smallConfig())
-	if _, err := s.CreateSegment(1, 16); err != nil {
+	if err := s.CreateSegment(1, 16); err != nil {
 		t.Fatal(err)
 	}
 	pid := PageID{SegUID: 1, Index: 2}
@@ -140,7 +141,7 @@ func TestEvictionRoundTrip(t *testing.T) {
 
 func TestEvictToDiskDirect(t *testing.T) {
 	s := newStore(t, smallConfig())
-	if _, err := s.CreateSegment(1, 4); err != nil {
+	if err := s.CreateSegment(1, 4); err != nil {
 		t.Fatal(err)
 	}
 	pid := PageID{SegUID: 1, Index: 0}
@@ -167,7 +168,7 @@ func TestNoFreeFrame(t *testing.T) {
 	cfg := smallConfig()
 	cfg.CoreFrames = 2
 	s := newStore(t, cfg)
-	if _, err := s.CreateSegment(1, 100); err != nil {
+	if err := s.CreateSegment(1, 100); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
@@ -188,7 +189,7 @@ func TestNoFreeBlock(t *testing.T) {
 	cfg.CoreFrames = 4
 	cfg.BulkBlocks = 1
 	s := newStore(t, cfg)
-	if _, err := s.CreateSegment(1, 100); err != nil {
+	if err := s.CreateSegment(1, 100); err != nil {
 		t.Fatal(err)
 	}
 	f0, _, _ := s.PageIn(PageID{SegUID: 1, Index: 0})
@@ -203,7 +204,7 @@ func TestNoFreeBlock(t *testing.T) {
 
 func TestWiredFramesNotEvictable(t *testing.T) {
 	s := newStore(t, smallConfig())
-	if _, err := s.CreateSegment(1, 4); err != nil {
+	if err := s.CreateSegment(1, 4); err != nil {
 		t.Fatal(err)
 	}
 	f, _, err := s.PageIn(PageID{SegUID: 1, Index: 0})
@@ -229,7 +230,7 @@ func TestWiredFramesNotEvictable(t *testing.T) {
 
 func TestUsageBits(t *testing.T) {
 	s := newStore(t, smallConfig())
-	if _, err := s.CreateSegment(1, 4); err != nil {
+	if err := s.CreateSegment(1, 4); err != nil {
 		t.Fatal(err)
 	}
 	f, _, _ := s.PageIn(PageID{SegUID: 1, Index: 0})
@@ -255,7 +256,7 @@ func TestUsageBits(t *testing.T) {
 
 func TestSetLengthShrinkReleasesPages(t *testing.T) {
 	s := newStore(t, smallConfig())
-	if _, err := s.CreateSegment(1, 16); err != nil {
+	if err := s.CreateSegment(1, 16); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -264,6 +265,14 @@ func TestSetLengthShrinkReleasesPages(t *testing.T) {
 		}
 	}
 	free := s.FreeFrameCount()
+	// Growing to the largest length keeps every page: the page count must
+	// not overflow into a shrink.
+	if err := s.SetLength(1, math.MaxInt); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.FreeFrameCount(); got != free {
+		t.Fatalf("free frames after growing to MaxInt = %d, want %d", got, free)
+	}
 	if err := s.SetLength(1, 4); err != nil { // keep only page 0
 		t.Fatal(err)
 	}
@@ -278,7 +287,7 @@ func TestSetLengthShrinkReleasesPages(t *testing.T) {
 
 func TestPagedBacking(t *testing.T) {
 	s := newStore(t, smallConfig())
-	if _, err := s.CreateSegment(7, 10); err != nil {
+	if err := s.CreateSegment(7, 10); err != nil {
 		t.Fatal(err)
 	}
 	pb, err := NewPagedBacking(s, 7)
@@ -335,7 +344,7 @@ func TestPagedBackingClassifiedErrors(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := newStore(t, smallConfig())
-			if _, err := s.CreateSegment(7, 10); err != nil {
+			if err := s.CreateSegment(7, 10); err != nil {
 				t.Fatal(err)
 			}
 			pb, err := NewPagedBacking(s, 7)
@@ -367,7 +376,7 @@ func TestQuickFrameConservation(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if _, err := s.CreateSegment(1, 1000); err != nil {
+		if err := s.CreateSegment(1, 1000); err != nil {
 			return false
 		}
 		for _, op := range ops {

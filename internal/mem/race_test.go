@@ -9,10 +9,9 @@ import (
 )
 
 // TestConcurrentStoreHammer drives PageIn/Discard/SetLength/word access and
-// evictions from many goroutines at once. Before the store was lock-striped
-// this failed under -race (concurrent map writes in the page tables and free
-// lists); now it must pass both plain and with -race, and the frame pool
-// must be conserved afterwards.
+// evictions from many goroutines at once. The store lock must keep it
+// clean under -race (no concurrent map writes in the page tables or free
+// lists), and the frame pool must be conserved afterwards.
 //
 // Frame-addressed word I/O (ReadWord/WriteWord) runs only on each worker's
 // private segment (a frame observed through a private page table cannot be
@@ -34,12 +33,12 @@ func TestConcurrentStoreHammer(t *testing.T) {
 		churnUID  = uint64(98)
 	)
 	for _, uid := range []uint64{sharedUID, churnUID} {
-		if _, err := s.CreateSegment(uid, 1024); err != nil {
+		if err := s.CreateSegment(uid, 1024); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for w := 0; w < workers; w++ {
-		if _, err := s.CreateSegment(uint64(w+1), 1024); err != nil {
+		if err := s.CreateSegment(uint64(w+1), 1024); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -148,7 +147,7 @@ func TestConcurrentStoreHammer(t *testing.T) {
 				errCh <- err
 				return
 			}
-			if _, err := s.CreateSegment(churnUID, 0); err != nil {
+			if err := s.CreateSegment(churnUID, 0); err != nil {
 				errCh <- err
 				return
 			}
@@ -211,8 +210,8 @@ func TestConcurrentStoreHammer(t *testing.T) {
 	}()
 
 	// A scanner runs the in-place victim scans beside all of the above;
-	// each frame is read under its own stripe, so the result is in
-	// frame-ID order with no duplicates and nothing free or wired.
+	// each scan holds the store lock, so the result is in frame-ID order
+	// with no duplicates and nothing free or wired.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

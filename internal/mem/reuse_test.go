@@ -1,7 +1,12 @@
 package mem
 
 import (
+	"errors"
+	"fmt"
+	"sync"
 	"testing"
+
+	"repro/internal/machine"
 )
 
 // Object reuse: a frame released by Discard, DeleteSegment or a shrinking
@@ -65,7 +70,7 @@ func TestReleasedFrameReusedZeroFilled(t *testing.T) {
 			cfg := reuseConfig()
 			s := newStore(t, cfg)
 			for _, uid := range []uint64{segA, segB} {
-				if _, err := s.CreateSegment(uid, 0); err != nil {
+				if err := s.CreateSegment(uid, 0); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -111,7 +116,7 @@ func TestRecycledFrameDoesNotAliasEvictedPage(t *testing.T) {
 			s := newStore(t, cfg) // default MemStore backing
 			const kept, churn = 1, 2
 			for _, uid := range []uint64{kept, churn} {
-				if _, err := s.CreateSegment(uid, 0); err != nil {
+				if err := s.CreateSegment(uid, 0); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -147,7 +152,7 @@ func TestRecycledFrameDoesNotAliasEvictedPage(t *testing.T) {
 func TestWordTransferBoundsAndGrowth(t *testing.T) {
 	cfg := reuseConfig()
 	s := newStore(t, cfg)
-	if _, err := s.CreateSegment(1, 0); err != nil {
+	if err := s.CreateSegment(1, 0); err != nil {
 		t.Fatal(err)
 	}
 	pid := PageID{SegUID: 1, Index: 2}
@@ -163,15 +168,14 @@ func TestWordTransferBoundsAndGrowth(t *testing.T) {
 	if err := s.WriteWords(pid, 3, []uint64{7, 8}, 2*cfg.PageWords+5); err != nil {
 		t.Fatal(err)
 	}
-	sp, _ := s.Segment(1)
-	if got := sp.Length(); got != 2*cfg.PageWords+5 {
+	if got, _ := s.SegmentLength(1); got != 2*cfg.PageWords+5 {
 		t.Errorf("length = %d, want %d", got, 2*cfg.PageWords+5)
 	}
 	// A smaller minLength never shrinks the segment.
 	if err := s.WriteWords(pid, 0, []uint64{1}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := sp.Length(); got != 2*cfg.PageWords+5 {
+	if got, _ := s.SegmentLength(1); got != 2*cfg.PageWords+5 {
 		t.Errorf("length after small write = %d, want unchanged", got)
 	}
 	loc, _ := s.Locate(pid)
@@ -185,5 +189,96 @@ func TestWordTransferBoundsAndGrowth(t *testing.T) {
 	}
 	if got[0] != 0 || got[1] != 7 || got[2] != 8 {
 		t.Errorf("ReadWords = %v, want [0 7 8]", got)
+	}
+}
+
+// TestPagedBackingReadNeverSeesReusedFrame races word reads of segment A
+// through a PagedBacking against a loop that evicts every frame and hands
+// a freed frame to a page of segment B. With two frames, B's page keeps
+// landing in the frame A just left, so a read that located A's page in a
+// frame and then read the frame without holding one lock across both
+// steps would find the frame freed, or see B's words or the zeros of B's
+// fill. Every read must either page-fault or return A's value.
+func TestPagedBackingReadNeverSeesReusedFrame(t *testing.T) {
+	cfg := reuseConfig()
+	cfg.CoreFrames = 2
+	s := newStore(t, cfg)
+	const (
+		segA, segB = uint64(1), uint64(2)
+		valA, valB = uint64(0xaaaa), uint64(0xbbbb)
+		reads      = 20000
+	)
+	for _, uid := range []uint64{segA, segB} {
+		if err := s.CreateSegment(uid, cfg.PageWords); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pidA, pidB := PageID{SegUID: segA}, PageID{SegUID: segB}
+	wordsA := make([]uint64, cfg.PageWords)
+	wordsB := make([]uint64, cfg.PageWords)
+	for i := range wordsA {
+		wordsA[i], wordsB[i] = valA, valB
+	}
+	if err := s.WriteWords(pidA, 0, wordsA, 0); err != nil {
+		t.Fatal(err)
+	}
+	pb, err := NewPagedBacking(s, segA)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan struct{})
+	errCh := make(chan error, 2)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // reader
+		defer wg.Done()
+		defer close(done)
+		for i := 0; i < reads; i++ {
+			off := i % cfg.PageWords
+			got, err := pb.ReadWord(off)
+			var pf *machine.PageFault
+			switch {
+			case errors.As(err, &pf):
+				if _, _, err := s.PageIn(pidA); err != nil && !errors.Is(err, ErrNoFreeFrame) {
+					errCh <- fmt.Errorf("PageIn %v: %w", pidA, err)
+					return
+				}
+			case err != nil:
+				errCh <- fmt.Errorf("ReadWord(%d): %w", off, err)
+				return
+			case got != valA:
+				errCh <- fmt.Errorf("read %d: ReadWord(%d) = %#x, want A's %#x", i, off, got, valA)
+				return
+			}
+		}
+	}()
+	go func() { // evictor and reuser
+		defer wg.Done()
+		var cands []Frame
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			cands = s.AppendEvictable(cands[:0])
+			for _, fr := range cands {
+				_, _, _ = s.EvictToBulk(fr.ID) // the frame may have been freed since the scan
+			}
+			if err := s.WriteWords(pidB, 0, wordsB, 0); err != nil && !errors.Is(err, ErrNoFreeFrame) {
+				errCh <- fmt.Errorf("WriteWords %v: %w", pidB, err)
+				return
+			}
+			if err := s.Discard(pidB); err != nil {
+				errCh <- fmt.Errorf("Discard %v: %w", pidB, err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Error(err)
 	}
 }

@@ -66,7 +66,7 @@ func randomOccupancy(t *testing.T, seed int64) *Store {
 	rng := rand.New(rand.NewSource(seed))
 	uids := []uint64{7, 3, 0x40, 12}
 	for _, uid := range uids {
-		if _, err := s.CreateSegment(uid, 64*4); err != nil {
+		if err := s.CreateSegment(uid, 64*4); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -146,7 +146,7 @@ func TestLowestBulkBlockMatchesBlocksScan(t *testing.T) {
 		{"empty", func(t *testing.T) *Store { return newStore(t, scanConfig()) }},
 		{"single block", func(t *testing.T) *Store {
 			s := newStore(t, scanConfig())
-			if _, err := s.CreateSegment(9, 64*4); err != nil {
+			if err := s.CreateSegment(9, 64*4); err != nil {
 				t.Fatal(err)
 			}
 			pushToBulk(t, s, PageID{SegUID: 9, Index: 5})
@@ -155,7 +155,7 @@ func TestLowestBulkBlockMatchesBlocksScan(t *testing.T) {
 		{"full", func(t *testing.T) *Store {
 			s := newStore(t, scanConfig())
 			for _, uid := range []uint64{5, 2} {
-				if _, err := s.CreateSegment(uid, 64*4); err != nil {
+				if err := s.CreateSegment(uid, 64*4); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -13,7 +13,7 @@ import (
 // cost at least one allocation per call.
 func TestVictimSelectionAllocatesNothing(t *testing.T) {
 	store := tinyMem(t, 16, 8)
-	if _, err := store.CreateSegment(1, 64*4); err != nil {
+	if err := store.CreateSegment(1, 64*4); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 24; i++ {

@@ -31,7 +31,7 @@ func (h *flakyHook) PageOut(op mem.IOOp, pid mem.PageID, data []uint64) {}
 
 func TestSequentialPagerRetriesInjectedIOErrors(t *testing.T) {
 	store := tinyMem(t, 4, 8)
-	if _, err := store.CreateSegment(1, 1000); err != nil {
+	if err := store.CreateSegment(1, 1000); err != nil {
 		t.Fatal(err)
 	}
 	store.SetFaultHook(&flakyHook{failLeft: 3})
@@ -52,7 +52,7 @@ func TestSequentialPagerRetriesInjectedIOErrors(t *testing.T) {
 
 func TestSequentialPagerGivesUpAfterRetryLimit(t *testing.T) {
 	store := tinyMem(t, 4, 8)
-	if _, err := store.CreateSegment(1, 1000); err != nil {
+	if err := store.CreateSegment(1, 1000); err != nil {
 		t.Fatal(err)
 	}
 	store.SetFaultHook(&flakyHook{failLeft: 1 << 30}) // never recovers
@@ -76,7 +76,7 @@ func TestSequentialPagerGivesUpAfterRetryLimit(t *testing.T) {
 
 func TestSequentialPagerRetryBacksOffInVirtualTime(t *testing.T) {
 	store := tinyMem(t, 4, 8)
-	if _, err := store.CreateSegment(1, 1000); err != nil {
+	if err := store.CreateSegment(1, 1000); err != nil {
 		t.Fatal(err)
 	}
 	clk := machine.NewClock()
@@ -90,7 +90,7 @@ func TestSequentialPagerRetryBacksOffInVirtualTime(t *testing.T) {
 	cleanCycles := clk.Now()
 
 	store2 := tinyMem(t, 4, 8)
-	if _, err := store2.CreateSegment(1, 1000); err != nil {
+	if err := store2.CreateSegment(1, 1000); err != nil {
 		t.Fatal(err)
 	}
 	store2.SetFaultHook(&flakyHook{failLeft: 4})
@@ -111,7 +111,7 @@ func TestSequentialPagerRetryBacksOffInVirtualTime(t *testing.T) {
 
 func TestParallelPagerRetriesInjectedIOErrors(t *testing.T) {
 	store := tinyMem(t, 8, 16)
-	if _, err := store.CreateSegment(1, 1000); err != nil {
+	if err := store.CreateSegment(1, 1000); err != nil {
 		t.Fatal(err)
 	}
 	store.SetFaultHook(&flakyHook{failLeft: 3})

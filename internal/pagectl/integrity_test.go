@@ -23,7 +23,7 @@ func thrashAndVerify(parallel bool, order []uint8, pages int) bool {
 	if err != nil {
 		return false
 	}
-	if _, err := store.CreateSegment(1, pages*cfg.PageWords); err != nil {
+	if err := store.CreateSegment(1, pages*cfg.PageWords); err != nil {
 		return false
 	}
 	clk := machine.NewClock()
@@ -167,7 +167,7 @@ func TestBothDesignsSurviveCompetingFaulters(t *testing.T) {
 		}
 		const users, pages = 3, 8
 		for u := 0; u < users; u++ {
-			if _, err := store.CreateSegment(uint64(u+1), pages*cfg.PageWords); err != nil {
+			if err := store.CreateSegment(uint64(u+1), pages*cfg.PageWords); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -49,7 +49,7 @@ func touchPages(t *testing.T, sch *sched.Scheduler, p Pager, uid uint64, pages [
 
 func TestSequentialPagerBasicFault(t *testing.T) {
 	store := tinyMem(t, 4, 8)
-	if _, err := store.CreateSegment(1, 1000); err != nil {
+	if err := store.CreateSegment(1, 1000); err != nil {
 		t.Fatal(err)
 	}
 	clk := machine.NewClock()
@@ -71,7 +71,7 @@ func TestSequentialPagerCascades(t *testing.T) {
 	// Core of 2 frames, bulk of 2 blocks: touching 8 pages forces the full
 	// core->bulk->disk cascade inside the faulting process.
 	store := tinyMem(t, 2, 2)
-	if _, err := store.CreateSegment(1, 1000); err != nil {
+	if err := store.CreateSegment(1, 1000); err != nil {
 		t.Fatal(err)
 	}
 	clk := machine.NewClock()
@@ -99,7 +99,7 @@ func TestSequentialPagerRefetch(t *testing.T) {
 	// Page evicted and refetched keeps its contents (via the store), and
 	// the pager handles the fault rather than erroring.
 	store := tinyMem(t, 2, 4)
-	if _, err := store.CreateSegment(1, 1000); err != nil {
+	if err := store.CreateSegment(1, 1000); err != nil {
 		t.Fatal(err)
 	}
 	clk := machine.NewClock()
@@ -118,7 +118,7 @@ func TestSequentialPagerRefetch(t *testing.T) {
 
 func TestParallelPagerBasic(t *testing.T) {
 	store := tinyMem(t, 8, 16)
-	if _, err := store.CreateSegment(1, 1000); err != nil {
+	if err := store.CreateSegment(1, 1000); err != nil {
 		t.Fatal(err)
 	}
 	clk := machine.NewClock()
@@ -142,7 +142,7 @@ func TestParallelPagerUnderPressure(t *testing.T) {
 	// Small core, small bulk: the dedicated processes must keep the system
 	// live through sustained overcommit.
 	store := tinyMem(t, 4, 4)
-	if _, err := store.CreateSegment(1, 4000); err != nil {
+	if err := store.CreateSegment(1, 4000); err != nil {
 		t.Fatal(err)
 	}
 	clk := machine.NewClock()
@@ -177,7 +177,7 @@ func TestParallelPagerUnderPressure(t *testing.T) {
 func TestParallelPagerFaulterPathShorterThanSequential(t *testing.T) {
 	run := func(parallel bool) FaultStats {
 		store := tinyMem(t, 4, 4)
-		if _, err := store.CreateSegment(1, 4000); err != nil {
+		if err := store.CreateSegment(1, 4000); err != nil {
 			t.Fatal(err)
 		}
 		clk := machine.NewClock()
@@ -231,7 +231,7 @@ func TestParallelConfigValidation(t *testing.T) {
 
 func TestClockPolicySecondChance(t *testing.T) {
 	store := tinyMem(t, 4, 8)
-	if _, err := store.CreateSegment(1, 1000); err != nil {
+	if err := store.CreateSegment(1, 1000); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -276,7 +276,7 @@ func TestPolicyNoCandidates(t *testing.T) {
 
 func TestForProcessAdapter(t *testing.T) {
 	store := tinyMem(t, 4, 8)
-	if _, err := store.CreateSegment(1, 100); err != nil {
+	if err := store.CreateSegment(1, 100); err != nil {
 		t.Fatal(err)
 	}
 	clk := machine.NewClock()

@@ -50,7 +50,7 @@ func overcommittedTrace(t *testing.T, parallel bool, seed int64) ([]mem.FrameID,
 	t.Helper()
 	store := tinyMem(t, 8, 8)
 	const kernelSeg, procs, pages, touches = 100, 3, 12, 120
-	if _, err := store.CreateSegment(kernelSeg, 4); err != nil {
+	if err := store.CreateSegment(kernelSeg, 4); err != nil {
 		t.Fatal(err)
 	}
 	kf, _, err := store.PageIn(mem.PageID{SegUID: kernelSeg})
@@ -61,7 +61,7 @@ func overcommittedTrace(t *testing.T, parallel bool, seed int64) ([]mem.FrameID,
 		t.Fatal(err)
 	}
 	for p := 0; p < procs; p++ {
-		if _, err := store.CreateSegment(uint64(p+1), pages*4); err != nil {
+		if err := store.CreateSegment(uint64(p+1), pages*4); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -24,7 +24,7 @@ func testStore(t *testing.T, frames int) *mem.Store {
 
 func populate(t *testing.T, s *mem.Store, uid uint64, pages int) []mem.FrameID {
 	t.Helper()
-	if _, err := s.CreateSegment(uid, pages*4); err != nil {
+	if err := s.CreateSegment(uid, pages*4); err != nil {
 		t.Fatal(err)
 	}
 	var frames []mem.FrameID

@@ -15,6 +15,7 @@ fuzztime="${1:-60s}"
 targets="
 ./internal/machine:FuzzArgStringTransfer
 ./internal/blockstore:FuzzJournalReplay
+./internal/core:FuzzRestoreManifest
 "
 
 for t in $targets; do

@@ -278,6 +278,7 @@ func build(cfg Config, rst *restoreState) (*Kernel, error) {
 			return nil, fmt.Errorf("core: compiling fault plan: %w", err)
 		}
 		k.faults = faults.NewInjector(plan, k.clock, k.trace)
+		k.faults.SetMetrics(k.metrics)
 		k.store.SetFaultHook(k.faults)
 	}
 	k.sch = sched.New(k.clock)

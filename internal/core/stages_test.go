@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -139,8 +140,7 @@ func TestMalformedSymtabBlastRadius(t *testing.T) {
 		t.Fatal(err)
 	}
 	p2 := userProc(t, k2, alice, unc)
-	ul := linker.New(&stubEnv{k: k2, p: p2, uid: uid2}, machine.UserRing)
-	p2.CPU.Linker = ul
+	p2.CPU.Linker = linker.New(&stubEnv{k: k2, p: p2, uid: uid2}, machine.UserRing)
 	_, err = p2.CPU.CallSym(SegArgs, machine.LinkRef{SegName: "math", EntryName: "square"}, nil)
 	if err == nil {
 		t.Error("S2 malformed symtab should still fail the caller")
@@ -151,8 +151,8 @@ func TestMalformedSymtabBlastRadius(t *testing.T) {
 	if k2.SystemCrashes != 0 {
 		t.Errorf("S2 system crashes = %d, want 0", k2.SystemCrashes)
 	}
-	if ul.Stats().ParseFailures != 1 {
-		t.Errorf("user-ring parse failures = %d", ul.Stats().ParseFailures)
+	if !errors.Is(err, linker.ErrBadMagic) {
+		t.Errorf("user-ring failure = %v, want a parse failure (ErrBadMagic)", err)
 	}
 }
 

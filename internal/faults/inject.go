@@ -3,15 +3,15 @@ package faults
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/machine"
 	"repro/internal/mem"
+	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
 // Counts is a snapshot of how many faults the injector has landed, by
-// injection point.
+// injection point, read from the injector's faults.* registry counters.
 type Counts struct {
 	MemIO            int64
 	TornWrites       int64
@@ -48,9 +48,10 @@ type Injector struct {
 	mu  sync.Mutex
 	occ map[occKey]uint64
 
-	memIO, torn, intLost, intDup  atomic.Int64
-	connResets, connStalls, crash atomic.Int64
-	storeTears                    atomic.Int64
+	// One registry counter per injection point; see SetMetrics.
+	memIO, torn, intLost, intDup  *metrics.Counter
+	connResets, connStalls, crash *metrics.Counter
+	storeTears                    *metrics.Counter
 }
 
 // occKey identifies one entity at one injection point.
@@ -63,7 +64,26 @@ type occKey struct {
 // recorded into sink as trace.StageInject events stamped with clock's
 // virtual cycle; both clock and sink may be nil (no stamps / no trace).
 func NewInjector(plan *Plan, clock *machine.Clock, sink trace.Sink) *Injector {
-	return &Injector{plan: plan, clock: clock, sink: sink, occ: make(map[occKey]uint64)}
+	in := &Injector{plan: plan, clock: clock, sink: sink, occ: make(map[occKey]uint64)}
+	in.SetMetrics(nil)
+	return in
+}
+
+// SetMetrics counts landed faults in reg under faults.* names; nil
+// selects a private registry, as NewInjector does. A kernel built with a
+// fault plan binds its injector to the kernel's registry.
+func (in *Injector) SetMetrics(reg *metrics.Registry) {
+	if reg == nil {
+		reg = metrics.New()
+	}
+	in.memIO = reg.Counter("faults.mem_io")
+	in.torn = reg.Counter("faults.torn_writes")
+	in.intLost = reg.Counter("faults.int_lost")
+	in.intDup = reg.Counter("faults.int_dup")
+	in.connResets = reg.Counter("faults.conn_resets")
+	in.connStalls = reg.Counter("faults.conn_stalls")
+	in.crash = reg.Counter("faults.crash_corruptions")
+	in.storeTears = reg.Counter("faults.store_tears")
 }
 
 // Plan returns the compiled plan the injector applies.
@@ -72,14 +92,14 @@ func (in *Injector) Plan() *Plan { return in.plan }
 // Counts returns a snapshot of the injected-fault counters.
 func (in *Injector) Counts() Counts {
 	return Counts{
-		MemIO:            in.memIO.Load(),
-		TornWrites:       in.torn.Load(),
-		IntLost:          in.intLost.Load(),
-		IntDup:           in.intDup.Load(),
-		ConnResets:       in.connResets.Load(),
-		ConnStalls:       in.connStalls.Load(),
-		CrashCorruptions: in.crash.Load(),
-		StoreTears:       in.storeTears.Load(),
+		MemIO:            in.memIO.Value(),
+		TornWrites:       in.torn.Value(),
+		IntLost:          in.intLost.Value(),
+		IntDup:           in.intDup.Value(),
+		ConnResets:       in.connResets.Value(),
+		ConnStalls:       in.connStalls.Value(),
+		CrashCorruptions: in.crash.Value(),
+		StoreTears:       in.storeTears.Value(),
 	}
 }
 
@@ -129,7 +149,7 @@ func (in *Injector) PageIO(op mem.IOOp, pid mem.PageID) error {
 	if !in.plan.Decide(PointMemIO, pid.SegUID, uint64(pid.Index), n) {
 		return nil
 	}
-	in.memIO.Add(1)
+	in.memIO.Inc()
 	in.emit(PointMemIO, pid.SegUID, uint64(pid.Index), fmt.Sprintf("%v on %v, occurrence %d", op, pid, n))
 	return fmt.Errorf("%w: injected %v fault on %v (occurrence %d)", mem.ErrIO, op, pid, n)
 }
@@ -144,7 +164,7 @@ func (in *Injector) PageOut(op mem.IOOp, pid mem.PageID, data []uint64) {
 	}
 	w := in.plan.HashKey(PointTornWrite, pid.SegUID, uint64(pid.Index), n, 1) % uint64(len(data))
 	data[w] ^= tornMask
-	in.torn.Add(1)
+	in.torn.Inc()
 	in.emit(PointTornWrite, pid.SegUID, uint64(pid.Index), fmt.Sprintf("%v of %v tore word %d", op, pid, w))
 }
 
@@ -156,7 +176,7 @@ func (in *Injector) ConnStall(conn uint64) bool {
 	if !in.plan.Decide(PointConnStall, conn, 0, n) {
 		return false
 	}
-	in.connStalls.Add(1)
+	in.connStalls.Inc()
 	in.emit(PointConnStall, conn, n, "service pass stalled; connection requeued")
 	return true
 }
@@ -169,7 +189,7 @@ func (in *Injector) ConnReset(conn uint64) bool {
 	if !in.plan.Decide(PointConnReset, conn, 0, n) {
 		return false
 	}
-	in.connResets.Add(1)
+	in.connResets.Inc()
 	in.emit(PointConnReset, conn, n, "read reset mid-flight; drained and requeued")
 	return true
 }

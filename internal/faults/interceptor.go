@@ -41,14 +41,14 @@ func (fi *FaultyInterceptor) Raise(source string, data uint64) {
 		fi.mu.Lock()
 		fi.lost = append(fi.lost, lostInterrupt{source: source, data: data})
 		fi.mu.Unlock()
-		fi.in.intLost.Add(1)
+		fi.in.intLost.Inc()
 		fi.in.emit(PointIntLost, sid, data, fmt.Sprintf("interrupt from %q dropped; stashed for redelivery", source))
 		return
 	}
 	fi.inner.Raise(source, data)
 	m := fi.in.next(PointIntDup, sid, 0)
 	if fi.in.plan.Decide(PointIntDup, sid, 0, m) {
-		fi.in.intDup.Add(1)
+		fi.in.intDup.Inc()
 		fi.in.emit(PointIntDup, sid, data, fmt.Sprintf("interrupt from %q delivered twice", source))
 		fi.inner.Raise(source, data)
 	}

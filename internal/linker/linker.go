@@ -24,25 +24,12 @@ type Environment interface {
 // ErrSegmentNotFound is returned when no search rule matches the name.
 var ErrSegmentNotFound = errors.New("linker: segment not found in search rules")
 
-// Stats counts linker activity.
-type Stats struct {
-	// Resolutions counts successfully snapped links.
-	Resolutions int64
-	// SearchMisses counts names not found under the search rules.
-	SearchMisses int64
-	// ParseFailures counts malstructured symbol tables encountered. When
-	// the linker runs in ring 0 each of these was a malfunction of
-	// privileged code — the vulnerability the removal project eliminated.
-	ParseFailures int64
-}
-
 // Linker resolves linkage faults. It is configuration-neutral: Ring records
 // where this instance conceptually executes, which the audit experiments
 // use to classify the severity of a malfunction.
 type Linker struct {
 	env  Environment
 	ring machine.Ring
-	st   Stats
 }
 
 var _ machine.LinkageFaultHandler = (*Linker)(nil)
@@ -55,15 +42,14 @@ func New(env Environment, ring machine.Ring) *Linker {
 // Ring returns the ring this linker instance executes in.
 func (l *Linker) Ring() machine.Ring { return l.ring }
 
-// Stats returns the accumulated counters.
-func (l *Linker) Stats() Stats { return l.st }
-
 // HandleLinkageFault implements machine.LinkageFaultHandler: find the
 // segment, initiate it, parse its symbol table, return the snapped target.
+// A malstructured table fails with ErrCorruptSymtab or ErrBadMagic; when
+// the linker runs in ring 0 each such failure was a malfunction of
+// privileged code — the vulnerability the removal project eliminated.
 func (l *Linker) HandleLinkageFault(ctx *machine.ExecContext, ref machine.LinkRef) (machine.LinkTarget, error) {
 	uid, err := l.env.LookupSegment(ref.SegName)
 	if err != nil {
-		l.st.SearchMisses++
 		return machine.LinkTarget{}, fmt.Errorf("%w: %q: %v", ErrSegmentNotFound, ref.SegName, err)
 	}
 	seg, err := l.env.Initiate(uid)
@@ -76,12 +62,8 @@ func (l *Linker) HandleLinkageFault(ctx *machine.ExecContext, ref machine.LinkRe
 	read := func(off int) (uint64, error) { return ctx.Load(seg, off) }
 	entry, err := FindEntry(read, ref.EntryName)
 	if err != nil {
-		if errors.Is(err, ErrCorruptSymtab) || errors.Is(err, ErrBadMagic) {
-			l.st.ParseFailures++
-		}
 		return machine.LinkTarget{}, fmt.Errorf("linker: resolving %v: %w", ref, err)
 	}
-	l.st.Resolutions++
 	return machine.LinkTarget{Seg: seg, Entry: entry}, nil
 }
 

@@ -157,43 +157,44 @@ func buildEnv(t *testing.T) (*machine.Processor, *SearchRules, *machine.Descript
 
 func TestLinkerResolvesAndSnaps(t *testing.T) {
 	p, env, _ := buildEnv(t)
-	l := New(env, machine.UserRing)
-	p.Linker = l
+	p.Linker = New(env, machine.UserRing)
+	ref := machine.LinkRef{SegName: "math", EntryName: "square"}
 
-	out, err := p.CallSym(5, machine.LinkRef{SegName: "math", EntryName: "square"}, []uint64{6})
+	out, err := p.CallSym(5, ref, []uint64{6})
 	if err != nil {
 		t.Fatalf("CallSym: %v", err)
 	}
 	if out[0] != 36 {
 		t.Errorf("square(6) = %d", out[0])
 	}
-	// Second call uses the snapped link: linker not consulted again.
-	if _, err := p.CallSym(5, machine.LinkRef{SegName: "math", EntryName: "square"}, []uint64{3}); err != nil {
-		t.Fatal(err)
+	if got, ok := p.SnappedLink(5, ref); !ok || got != (machine.LinkTarget{Seg: 10, Entry: 1}) {
+		t.Fatalf("snapped link = %+v, %v; want segment 10 entry 1", got, ok)
 	}
-	if l.Stats().Resolutions != 1 {
-		t.Errorf("resolutions = %d, want 1", l.Stats().Resolutions)
+	// Second call uses the snapped link: with the linker gone, only the
+	// snapped target can serve it.
+	p.Linker = nil
+	if out, err := p.CallSym(5, ref, []uint64{3}); err != nil || out[0] != 9 {
+		t.Fatalf("snapped call = %v, %v; want 9", out, err)
 	}
 }
 
 func TestLinkerSearchMiss(t *testing.T) {
 	p, env, _ := buildEnv(t)
-	l := New(env, machine.UserRing)
-	p.Linker = l
-	_, err := p.CallSym(5, machine.LinkRef{SegName: "nonexistent", EntryName: "main"}, nil)
-	if err == nil || !errors.Is(err, ErrSegmentNotFound) {
+	p.Linker = New(env, machine.UserRing)
+	ref := machine.LinkRef{SegName: "nonexistent", EntryName: "main"}
+	_, err := p.CallSym(5, ref, nil)
+	if !errors.Is(err, ErrSegmentNotFound) {
 		t.Errorf("miss = %v", err)
 	}
-	if l.Stats().SearchMisses != 1 {
-		t.Errorf("misses = %d", l.Stats().SearchMisses)
+	if _, ok := p.SnappedLink(5, ref); ok {
+		t.Error("a search miss snapped a link")
 	}
 }
 
 func TestLinkerMalformedTableCountsParseFailure(t *testing.T) {
 	p, env, ds := buildEnv(t)
 	// Corrupt the symbol table after installation by initiating first.
-	l := New(env, machine.KernelRing)
-	p.Linker = l
+	p.Linker = New(env, machine.KernelRing)
 	if _, err := p.CallSym(5, machine.LinkRef{SegName: "math", EntryName: "sqrt"}, []uint64{16}); err != nil {
 		t.Fatal(err)
 	}
@@ -201,11 +202,8 @@ func TestLinkerMalformedTableCountsParseFailure(t *testing.T) {
 	cb := sdw.Backing.(*machine.CoreBacking)
 	cb.Words()[0] = 0xBAD // smash the magic
 	_, err := p.CallSym(6, machine.LinkRef{SegName: "math", EntryName: "square"}, nil)
-	if err == nil {
-		t.Fatal("corrupted table should fail")
-	}
-	if l.Stats().ParseFailures != 1 {
-		t.Errorf("parse failures = %d, want 1", l.Stats().ParseFailures)
+	if !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("corrupted table = %v, want a parse failure (ErrBadMagic)", err)
 	}
 }
 

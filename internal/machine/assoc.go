@@ -46,25 +46,14 @@ type assocEntry struct {
 	callGate   bool
 }
 
-// AssocStats are the event counts of one associative memory.
-type AssocStats struct {
-	// Hits and Misses count lookups by outcome. A lookup that finds an
-	// entry which does not cover the wanted access counts as a miss.
-	Hits, Misses int64
-	// Invalidations counts entries flushed because their descriptor was
-	// rewritten or cleared.
-	Invalidations int64
-}
-
 // AssocMemory caches SDW lookups and ring-bracket/gate access decisions per
 // (segment number, ring). One is attached to every Processor and registered
 // with the processor's descriptor segment for invalidation.
 type AssocMemory struct {
 	enabled bool
 	slots   [assocSlots]assocEntry
-	stats   AssocStats
-	// invalidations, when set by Processor.SetMetrics, mirrors
-	// stats.Invalidations into the unified metrics registry.
+	// invalidations, when set by Processor.SetMetrics, counts entries
+	// flushed because their descriptor was rewritten or cleared.
 	invalidations *metrics.Counter
 }
 
@@ -84,12 +73,6 @@ func (a *AssocMemory) SetEnabled(on bool) {
 	}
 	a.enabled = on
 }
-
-// Stats returns the accumulated hit/miss/invalidation counts.
-func (a *AssocMemory) Stats() AssocStats { return a.stats }
-
-// ResetStats zeroes the accumulated counts without touching the entries.
-func (a *AssocMemory) ResetStats() { a.stats = AssocStats{} }
 
 func assocSlot(seg SegNo, ring Ring) int {
 	return (int(seg)*NumRings + int(ring)) & (assocSlots - 1)
@@ -142,7 +125,6 @@ func (a *AssocMemory) InvalidateSeg(seg SegNo) {
 	for i := range a.slots {
 		if a.slots[i].valid && a.slots[i].seg == seg {
 			a.slots[i] = assocEntry{}
-			a.stats.Invalidations++
 			if a.invalidations != nil {
 				a.invalidations.Inc()
 			}
@@ -156,7 +138,6 @@ func (a *AssocMemory) Flush() {
 	for i := range a.slots {
 		if a.slots[i].valid {
 			a.slots[i] = assocEntry{}
-			a.stats.Invalidations++
 			if a.invalidations != nil {
 				a.invalidations.Inc()
 			}

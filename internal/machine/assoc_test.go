@@ -3,7 +3,28 @@ package machine
 import (
 	"errors"
 	"testing"
+
+	"repro/internal/metrics"
 )
+
+// assocCounts is a reading of the machine.assoc_* counters.
+type assocCounts struct{ hits, misses, invalidations int64 }
+
+// meter binds p to a registry of its own, so the machine.* counters
+// count p's references only, and returns it.
+func meter(p *Processor) *metrics.Registry {
+	reg := metrics.New()
+	p.SetMetrics(reg)
+	return reg
+}
+
+func readAssoc(reg *metrics.Registry) assocCounts {
+	return assocCounts{
+		hits:          reg.Counter("machine.assoc_hits").Value(),
+		misses:        reg.Counter("machine.assoc_misses").Value(),
+		invalidations: reg.Counter("machine.assoc_invalidations").Value(),
+	}
+}
 
 // TestRevokedSDWNeverHonoredFromCache is the paper's security-correctness
 // constraint on the associative memory: once a descriptor is revoked, no
@@ -11,6 +32,7 @@ import (
 // deliberately before each revocation.
 func TestRevokedSDWNeverHonoredFromCache(t *testing.T) {
 	p, ds, _ := newTestProc(UserRing, Model6180())
+	reg := meter(p)
 	mustSet(t, ds, 3, SDW{Backing: NewCoreBacking(8), Mode: ModeRead | ModeWrite, Brackets: UserBrackets(UserRing)})
 	mustSet(t, ds, 4, SDW{Proc: echoProc(), Mode: ModeExecute, Brackets: GateBrackets(KernelRing, UserRing), Gates: 1})
 
@@ -24,7 +46,7 @@ func TestRevokedSDWNeverHonoredFromCache(t *testing.T) {
 	if _, err := p.Call(4, 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if st := p.Stats(); st.AssocHits == 0 {
+	if st := readAssoc(reg); st.hits == 0 {
 		t.Fatalf("cache never hit during warm-up: %+v", st)
 	}
 
@@ -46,7 +68,7 @@ func TestRevokedSDWNeverHonoredFromCache(t *testing.T) {
 	if _, err := p.Call(4, 0, nil); !errors.As(err, &f) || f.Class != FaultSegment {
 		t.Fatalf("cleared descriptor call fault = %v, want segment fault", f)
 	}
-	if st := p.Stats(); st.AssocInvalidations == 0 {
+	if st := readAssoc(reg); st.invalidations == 0 {
 		t.Errorf("revocation flushed no cache entries: %+v", st)
 	}
 }
@@ -96,11 +118,12 @@ func TestAssocInvalidationFlushesStaleEntries(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p, ds, _ := newTestProc(UserRing, Model6180())
+			reg := meter(p)
 			mustSet(t, ds, seg, SDW{Backing: NewCoreBacking(8), Mode: ModeRead, Brackets: UserBrackets(UserRing)})
 			if _, err := p.Load(seg, 0); err != nil {
 				t.Fatal(err)
 			}
-			before := p.Stats()
+			before := readAssoc(reg)
 			tc.mutate(t, ds)
 
 			_, err := p.Load(seg, 0)
@@ -108,8 +131,8 @@ func TestAssocInvalidationFlushesStaleEntries(t *testing.T) {
 				if err != nil {
 					t.Fatalf("load after unrelated mutation faulted: %v", err)
 				}
-				after := p.Stats()
-				if after.AssocHits != before.AssocHits+1 {
+				after := readAssoc(reg)
+				if after.hits != before.hits+1 {
 					t.Errorf("expected a cache hit after unrelated mutation: before %+v after %+v", before, after)
 				}
 				return
@@ -118,8 +141,8 @@ func TestAssocInvalidationFlushesStaleEntries(t *testing.T) {
 			if !errors.As(err, &f) || f.Class != tc.wantFault {
 				t.Fatalf("load after mutation = %v, want fault class %v", err, tc.wantFault)
 			}
-			after := p.Stats()
-			if after.AssocInvalidations == before.AssocInvalidations {
+			after := readAssoc(reg)
+			if after.invalidations == before.invalidations {
 				t.Errorf("mutation invalidated nothing: before %+v after %+v", before, after)
 			}
 		})
@@ -130,6 +153,7 @@ func TestAssocInvalidationFlushesStaleEntries(t *testing.T) {
 // misses and fills, repeats hit, and disabling the cache stops counting.
 func TestAssocHitMissCounters(t *testing.T) {
 	p, ds, _ := newTestProc(UserRing, Model6180())
+	reg := meter(p)
 	mustSet(t, ds, 3, SDW{Backing: NewCoreBacking(8), Mode: ModeRead, Brackets: UserBrackets(UserRing)})
 
 	for i := 0; i < 5; i++ {
@@ -137,21 +161,19 @@ func TestAssocHitMissCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := p.Stats()
-	if st.AssocMisses != 1 || st.AssocHits != 4 {
-		t.Errorf("hits/misses = %d/%d, want 4/1", st.AssocHits, st.AssocMisses)
+	before := readAssoc(reg)
+	if before.misses != 1 || before.hits != 4 {
+		t.Errorf("hits/misses = %d/%d, want 4/1", before.hits, before.misses)
 	}
 
-	p.ResetStats()
 	p.SetAssocEnabled(false)
 	for i := 0; i < 3; i++ {
 		if _, err := p.Load(3, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st = p.Stats()
-	if st.AssocHits != 0 || st.AssocMisses != 0 {
-		t.Errorf("disabled cache still counting: %+v", st)
+	if after := readAssoc(reg); after.hits != before.hits || after.misses != before.misses {
+		t.Errorf("disabled cache still counting: before %+v after %+v", before, after)
 	}
 }
 

@@ -26,22 +26,16 @@ type EntryFunc func(ctx *ExecContext, args []uint64) ([]uint64, error)
 // in simulated code into a fault rather than a Go stack overflow.
 const MaxCallDepth = 256
 
-// Stats records the event counts a processor accumulates; the experiment
-// harness reads them to report path lengths and fault behaviour.
+// Stats records the per-processor event counts no registry counter
+// holds; the experiment harness reads them to report gate path lengths
+// and fault behaviour. Associative-memory hits, misses and invalidations
+// and the fault total are counted only in the registry bound by
+// SetMetrics (machine.*).
 type Stats struct {
-	Loads          int64
-	Stores         int64
-	Calls          int64
-	CrossRingCalls int64
-	GateCalls      int64
-	// AssocHits/AssocMisses/AssocInvalidations mirror the processor's
-	// associative-memory counters: references satisfied from the cached
-	// SDW decision, references that walked the descriptor segment, and
-	// entries flushed by descriptor mutation.
-	AssocHits          int64
-	AssocMisses        int64
-	AssocInvalidations int64
-	Faults             map[FaultClass]int64
+	// GateCalls counts calls that passed through a gate entry.
+	GateCalls int64
+	// Faults counts delivered faults by class.
+	Faults map[FaultClass]int64
 }
 
 func newStats() Stats { return Stats{Faults: make(map[FaultClass]int64)} }
@@ -79,7 +73,7 @@ type Processor struct {
 	// dispatch allocates nothing on the steady-state hot path.
 	ctxCache []ExecContext
 	// mAssocHits/mAssocMisses/mFaults, when set, publish into the unified
-	// metrics registry alongside the per-processor stats (see SetMetrics).
+	// metrics registry (see SetMetrics).
 	mAssocHits   *metrics.Counter
 	mAssocMisses *metrics.Counter
 	mFaults      *metrics.Counter
@@ -114,19 +108,11 @@ func (p *Processor) Ring() Ring { return p.ring }
 // Stats returns a copy of the accumulated event counts.
 func (p *Processor) Stats() Stats {
 	out := p.stats
-	out.AssocInvalidations = p.assoc.stats.Invalidations
 	out.Faults = make(map[FaultClass]int64, len(p.stats.Faults))
 	for k, v := range p.stats.Faults {
 		out.Faults[k] = v
 	}
 	return out
-}
-
-// ResetStats zeroes the accumulated event counts, including the associative
-// memory's (its entries survive — only the counters reset).
-func (p *Processor) ResetStats() {
-	p.stats = newStats()
-	p.assoc.ResetStats()
 }
 
 // SetSink directs fault delivery at s: every fault the processor
@@ -136,10 +122,11 @@ func (p *Processor) ResetStats() {
 func (p *Processor) SetSink(s trace.Sink) { p.sink = s }
 
 // SetMetrics publishes the processor's hot-path counters into reg under
-// machine.* names (assoc hits/misses/invalidations, delivered faults) in
-// addition to the per-processor Stats. All processors of one kernel share
-// the registry, so the machine.* counters aggregate across CPUs. A nil
-// registry detaches the processor.
+// machine.* names (assoc hits/misses/invalidations, delivered faults).
+// All processors of one kernel share the registry, so the machine.*
+// counters aggregate across CPUs; a caller wanting one processor's counts
+// binds it to a registry of its own. A nil registry detaches the
+// processor, and its references then count nothing.
 func (p *Processor) SetMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		p.mAssocHits, p.mAssocMisses, p.mFaults = nil, nil, nil
@@ -249,7 +236,6 @@ func (p *Processor) checkData(seg SegNo, sdw *SDW, off int, want AccessMode) *Fa
 func (p *Processor) access(seg SegNo, off int, want AccessMode, write bool, val uint64) (uint64, error) {
 	var sdw *SDW
 	if e := p.assoc.lookup(seg, p.ring); e != nil && ((write && e.writeOK) || (!write && e.readOK)) {
-		p.stats.AssocHits++
 		if p.mAssocHits != nil {
 			p.mAssocHits.Inc()
 		}
@@ -260,7 +246,6 @@ func (p *Processor) access(seg SegNo, off int, want AccessMode, write bool, val 
 		}
 	} else {
 		if p.assoc.Enabled() {
-			p.stats.AssocMisses++
 			if p.mAssocMisses != nil {
 				p.mAssocMisses.Inc()
 			}
@@ -281,11 +266,9 @@ func (p *Processor) access(seg SegNo, off int, want AccessMode, write bool, val 
 		var err error
 		var out uint64
 		if write {
-			p.stats.Stores++
 			p.Clock.Advance(p.Cost.Store)
 			err = sdw.Backing.WriteWord(off, val)
 		} else {
-			p.stats.Loads++
 			p.Clock.Advance(p.Cost.Load)
 			out, err = sdw.Backing.ReadWord(off)
 		}
@@ -346,7 +329,6 @@ func (p *Processor) LoadWords(seg SegNo, off int, dst []uint64, stopAbove uint64
 				}
 			}
 			copy(dst[i:], run[:n])
-			p.stats.Loads += int64(n)
 			p.chargeRun(n, p.Cost.Load)
 			return i + n, nil
 		}
@@ -374,7 +356,6 @@ func (p *Processor) StoreBytes(seg SegNo, off int, b []byte) (int, error) {
 			for k, c := range b[i:] {
 				run[k] = uint64(c)
 			}
-			p.stats.Stores += int64(len(run))
 			p.chargeRun(len(run), p.Cost.Store)
 			return len(b), nil
 		}
@@ -404,7 +385,6 @@ func (p *Processor) coreRun(seg SegNo, off, n int, write bool) []uint64 {
 // chargeRun accounts n associative-memory hits, each followed by a
 // reference costing ref cycles — what n calls to access's hit path charge.
 func (p *Processor) chargeRun(n int, ref int64) {
-	p.stats.AssocHits += int64(n)
 	if p.mAssocHits != nil {
 		p.mAssocHits.Add(int64(n))
 	}
@@ -471,7 +451,6 @@ func (p *Processor) Call(seg SegNo, entry int, args []uint64) ([]uint64, error) 
 			hit = true
 			sdw = s
 			target, viaGate = e.callTarget, e.callGate
-			p.stats.AssocHits++
 			if p.mAssocHits != nil {
 				p.mAssocHits.Inc()
 			}
@@ -480,7 +459,6 @@ func (p *Processor) Call(seg SegNo, entry int, args []uint64) ([]uint64, error) 
 	}
 	if !hit {
 		if p.assoc.Enabled() {
-			p.stats.AssocMisses++
 			if p.mAssocMisses != nil {
 				p.mAssocMisses.Inc()
 			}
@@ -504,11 +482,9 @@ func (p *Processor) Call(seg SegNo, entry int, args []uint64) ([]uint64, error) 
 			Detail: "call stack overflow"})
 	}
 
-	p.stats.Calls++
 	p.Clock.Advance(p.Cost.Call)
 	crossed := target != p.ring
 	if crossed {
-		p.stats.CrossRingCalls++
 		p.Clock.Advance(p.Cost.RingCrossExtra)
 	}
 	if viaGate {

@@ -40,7 +40,7 @@ func TestDisabledRegistryDropsRecordings(t *testing.T) {
 	if c.Value() != 0 || g.Value() != 0 {
 		t.Fatalf("disabled registry recorded: counter=%d gauge=%d", c.Value(), g.Value())
 	}
-	if _, _, count := h.merge(); count != 0 {
+	if _, _, count := h.values(); count != 0 {
 		t.Fatalf("disabled registry recorded %d histogram observations", count)
 	}
 	r.SetEnabled(true)
@@ -61,8 +61,8 @@ func TestKindMismatchPanics(t *testing.T) {
 	r.Gauge("dual")
 }
 
-// TestHistogramMerge drives observations across every stripe and checks
-// the merged bucket totals against a sequentially computed distribution,
+// TestHistogramMerge drives observations across every bucket and checks
+// the bucket totals against a sequentially computed distribution,
 // including boundary values and overflow.
 func TestHistogramMerge(t *testing.T) {
 	r := New()
@@ -83,7 +83,7 @@ func TestHistogramMerge(t *testing.T) {
 		wantSum += v
 		wantCount++
 	}
-	counts, sum, count := h.merge()
+	counts, sum, count := h.values()
 	for i := range want {
 		if counts[i] != want[i] {
 			t.Fatalf("bucket %d = %d, want %d", i, counts[i], want[i])
@@ -293,7 +293,7 @@ func TestTextAndJSONExport(t *testing.T) {
 // live and checks the Delta chain is consistent: every delta is
 // non-negative for counters and histogram buckets, and the deltas sum
 // to exactly the final total. Run under -race this exercises Snapshot's
-// read locks against the lock-free record path.
+// lock against the lock-free record path.
 func TestDeltaUnderConcurrentRecording(t *testing.T) {
 	r := New()
 	const (

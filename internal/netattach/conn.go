@@ -141,7 +141,6 @@ func (c *Conn) Send(op Op, payload uint64) error {
 	}
 	if q >= fe.cfg.HighWater {
 		c.throttled++
-		fe.throttled++
 		fe.nm.throttled.Inc()
 		return fmt.Errorf("%w: connection %d input queue at %d", ErrThrottled, c.id, q)
 	}

@@ -118,7 +118,11 @@ func (c *Config) setDefaults() error {
 }
 
 // Stats is a snapshot of the front-end's counters. Latencies and
-// occupancies are in virtual cycles and messages respectively.
+// occupancies are in virtual cycles and messages respectively. The
+// lifecycle counts are read from the kernel's metrics registry (the net.*
+// counters), so they are the kernel's totals and continue across a
+// checkpoint restore; the peaks and attach percentiles are exact figures
+// the front-end keeps itself.
 type Stats struct {
 	// Accepted/Rejected count listener outcomes; Active is the current
 	// table population (pending included).
@@ -194,16 +198,11 @@ type Frontend struct {
 	// faults, when set, decides injected connection faults; see FaultPlane.
 	faults FaultPlane
 
-	// Running totals (closed connections fold in on finishClose).
-	accepted, rejected               int64
-	delivered, processed, replies    int64
-	drops, throttled                 int64
-	stalls, resets                   int64
-	closedInputLost, closedReplyLost int64
-	peakInput, peakOutput            int
+	peakInput, peakOutput int
 
-	// nm publishes the same lifecycle counters into the kernel's unified
-	// metrics registry (net.* names) as they happen.
+	// nm counts the lifecycle events in the kernel's unified metrics
+	// registry (net.* names) as they happen; closed connections' buffer
+	// loss folds in on finishClose.
 	nm netMetrics
 }
 
@@ -458,7 +457,6 @@ func (fe *Frontend) accept(pc *sched.ProcCtx, c *Conn) {
 	c.state = StateAttached
 	c.attachLat = pc.Now() - c.dialedAt
 	fe.attachLats = append(fe.attachLats, c.attachLat)
-	fe.accepted++
 	fe.nm.accepted.Inc()
 	fe.nm.attachLat.Observe(c.attachLat)
 	fe.emit(trace.Event{Name: "attach", Subject: c.id, Cost: c.attachLat, Outcome: gate.ClassOK})
@@ -466,7 +464,6 @@ func (fe *Frontend) accept(pc *sched.ProcCtx, c *Conn) {
 
 // reject records a failed accept. Caller holds fe.mu via the simulation.
 func (fe *Frontend) reject(c *Conn, err error) {
-	fe.rejected++
 	fe.nm.rejected.Inc()
 	c.fail(err)
 	fe.emit(trace.Event{Name: "reject", Subject: c.id, Outcome: gate.Classify(err), Detail: err.Error()})
@@ -538,13 +535,11 @@ func (fe *Frontend) service(pc *sched.ProcCtx, c *Conn) {
 	for c.state == StateAttached || c.state == StateDraining {
 		if fp := fe.faults; fp != nil {
 			if fp.ConnReset(c.id) {
-				fe.resets++
 				fe.nm.resets.Inc()
 				pc.Consume(resetPenalty)
 				return
 			}
 			if fp.ConnStall(c.id) {
-				fe.stalls++
 				fe.nm.stalls.Inc()
 				pc.Sleep(stallDelay)
 				return
@@ -559,7 +554,6 @@ func (fe *Frontend) service(pc *sched.ProcCtx, c *Conn) {
 			return // input drained
 		}
 		c.delivered++
-		fe.delivered++
 		fe.nm.delivered.Inc()
 		fe.execute(pc, c, out[0])
 	}
@@ -602,12 +596,10 @@ func (fe *Frontend) execute(pc *sched.ProcCtx, c *Conn, word uint64) {
 		// Unknown op: processed, no reply.
 		pc.Consume(1)
 		c.processed++
-		fe.processed++
 		fe.nm.processed.Inc()
 		return
 	}
 	c.processed++
-	fe.processed++
 	fe.nm.processed.Inc()
 	fe.emit(trace.Event{Name: "request", Subject: c.id, Arg: word, Outcome: gate.ClassOK})
 	fe.enqueueReply(c, reply)
@@ -626,7 +618,6 @@ func (fe *Frontend) enqueueReply(c *Conn, v uint64) {
 	}
 	if c.shedding {
 		c.drops++
-		fe.drops++
 		fe.nm.replyDrops.Inc()
 		return
 	}
@@ -634,12 +625,10 @@ func (fe *Frontend) enqueueReply(c *Conn, v uint64) {
 	if err := c.out.Put(iosys.Message{Seq: c.replySeq, Data: v}); err != nil {
 		// Refused by storage: still a counted drop, never silent.
 		c.drops++
-		fe.drops++
 		fe.nm.replyDrops.Inc()
 		return
 	}
 	c.replies++
-	fe.replies++
 	fe.nm.replies.Inc()
 	if n+1 > fe.peakOutput {
 		fe.peakOutput = n + 1
@@ -671,7 +660,6 @@ func (fe *Frontend) finishClose(c *Conn) error {
 	if c.state == StateAttached || c.state == StateDraining {
 		lost, err := fe.k.DeviceLost(c.dev)
 		if err == nil {
-			fe.closedInputLost += lost
 			fe.nm.inputLost.Add(lost)
 		}
 		if _, err := c.proc.CallGate(fe.detachGate(), c.dev); err != nil {
@@ -679,7 +667,6 @@ func (fe *Frontend) finishClose(c *Conn) error {
 		}
 	}
 	if c.out != nil {
-		fe.closedReplyLost += c.out.Lost()
 		fe.nm.replyLost.Add(c.out.Lost())
 		if c.outUID != 0 {
 			_ = fe.outStore.DeleteSegment(c.outUID)
@@ -742,12 +729,13 @@ func (fe *Frontend) connsByID() []*Conn {
 func (fe *Frontend) Stats() Stats {
 	fe.mu.Lock()
 	defer fe.mu.Unlock()
+	nm := &fe.nm
 	st := Stats{
-		Accepted: fe.accepted, Rejected: fe.rejected, Active: len(fe.conns),
-		Delivered: fe.delivered, Processed: fe.processed, Replies: fe.replies,
-		ReplyDrops: fe.drops, Throttled: fe.throttled,
-		Stalls: fe.stalls, Resets: fe.resets,
-		InputLost: fe.closedInputLost, ReplyLost: fe.closedReplyLost,
+		Accepted: nm.accepted.Value(), Rejected: nm.rejected.Value(), Active: len(fe.conns),
+		Delivered: nm.delivered.Value(), Processed: nm.processed.Value(), Replies: nm.replies.Value(),
+		ReplyDrops: nm.replyDrops.Value(), Throttled: nm.throttled.Value(),
+		Stalls: nm.stalls.Value(), Resets: nm.resets.Value(),
+		InputLost: nm.inputLost.Value(), ReplyLost: nm.replyLost.Value(),
 		PeakInput: fe.peakInput, PeakOutput: fe.peakOutput,
 	}
 	for _, c := range fe.connsByID() {

@@ -100,7 +100,11 @@ func (FIFOPolicy) ChooseVictim(candidates []mem.Frame) (mem.FrameID, error) {
 }
 
 // FaultStats aggregates what the faulting processes experienced; the E5
-// experiment compares these across the two designs.
+// experiment compares these across the two designs. Faults, WaitCycles
+// and IORetries are read from the pager's registry counters
+// (pagectl.faults, pagectl.wait_cycles, pagectl.io_retries), so they
+// continue across a checkpoint restore; the faulter-path fields are the
+// pager's own, since no registry counter counts those events.
 type FaultStats struct {
 	// Faults is the number of page faults handled.
 	Faults int64 `json:"faults"`
@@ -121,19 +125,18 @@ type FaultStats struct {
 	IORetries int64 `json:"io_retries"`
 }
 
-// pagerMetrics holds the handles both page-control designs publish
-// through: pagectl.faults, pagectl.wait_cycles, pagectl.io_retries. The
-// zero value (all nil) means detached.
+// pagerMetrics holds the handles both page-control designs count
+// through: pagectl.faults, pagectl.wait_cycles, pagectl.io_retries.
 type pagerMetrics struct {
 	faults     *metrics.Counter
 	waitCycles *metrics.Counter
 	ioRetries  *metrics.Counter
 }
 
+// resolve binds the handles to reg; nil binds them to a private registry.
 func (pm *pagerMetrics) resolve(reg *metrics.Registry) {
 	if reg == nil {
-		*pm = pagerMetrics{}
-		return
+		reg = metrics.New()
 	}
 	pm.faults = reg.Counter("pagectl.faults")
 	pm.waitCycles = reg.Counter("pagectl.wait_cycles")
@@ -141,16 +144,16 @@ func (pm *pagerMetrics) resolve(reg *metrics.Registry) {
 }
 
 func (pm *pagerMetrics) fault(wait int64) {
-	if pm.faults != nil {
-		pm.faults.Inc()
-		pm.waitCycles.Add(wait)
-	}
+	pm.faults.Inc()
+	pm.waitCycles.Add(wait)
 }
 
-func (pm *pagerMetrics) ioRetry() {
-	if pm.ioRetries != nil {
-		pm.ioRetries.Inc()
-	}
+// view returns st with its registry-backed fields filled in.
+func (pm *pagerMetrics) view(st FaultStats) FaultStats {
+	st.Faults = pm.faults.Value()
+	st.WaitCycles = pm.waitCycles.Value()
+	st.IORetries = pm.ioRetries.Value()
+	return st
 }
 
 // ioRetryLimit bounds retry-with-backoff on transient backing-store I/O
@@ -184,14 +187,15 @@ func ForProcess(p Pager, pc *sched.ProcCtx) machine.PageFaultHandler {
 type SequentialPager struct {
 	store  *mem.Store
 	policy VictimPolicy
-	stats  FaultStats
-	pm     pagerMetrics
+	// stats holds the faulter-path fields; see FaultStats.
+	stats FaultStats
+	pm    pagerMetrics
 	// cands is the reusable eviction-candidate buffer; see chooseVictim.
 	cands []mem.Frame
 }
 
-// SetMetrics publishes fault handling into reg under pagectl.* names; nil
-// detaches the pager.
+// SetMetrics counts fault handling in reg under pagectl.* names; nil
+// selects a private registry, as the constructor does.
 func (s *SequentialPager) SetMetrics(reg *metrics.Registry) { s.pm.resolve(reg) }
 
 // NewSequentialPager returns the old-design pager.
@@ -199,21 +203,19 @@ func NewSequentialPager(store *mem.Store, policy VictimPolicy) *SequentialPager 
 	if policy == nil {
 		policy = NewClockPolicy(store)
 	}
-	return &SequentialPager{store: store, policy: policy}
+	s := &SequentialPager{store: store, policy: policy}
+	s.pm.resolve(nil)
+	return s
 }
 
 // Stats implements Pager.
-func (s *SequentialPager) Stats() FaultStats { return s.stats }
+func (s *SequentialPager) Stats() FaultStats { return s.pm.view(s.stats) }
 
 // Handle implements Pager: fetch the page, performing however many
 // evictions that requires, all in the faulting process.
 func (s *SequentialPager) Handle(pc *sched.ProcCtx, pf *machine.PageFault) error {
 	start := pc.Now()
-	defer func() {
-		s.stats.Faults++
-		s.stats.WaitCycles += pc.Now() - start
-		s.pm.fault(pc.Now() - start)
-	}()
+	defer func() { s.pm.fault(pc.Now() - start) }()
 	pid := mem.PageID{SegUID: pf.SegTag, Index: pf.Page}
 	cascade := 0
 	ioAttempts := 0
@@ -237,8 +239,7 @@ func (s *SequentialPager) Handle(pc *sched.ProcCtx, pf *machine.PageFault) error
 			if ioAttempts > ioRetryLimit {
 				return fmt.Errorf("pagectl(sequential): page-in of %v: %d retries exhausted: %w", pid, ioRetryLimit, err)
 			}
-			s.stats.IORetries++
-			s.pm.ioRetry()
+			s.pm.ioRetries.Inc()
 			pc.Sleep(ioRetryBackoff << (ioAttempts - 1))
 			continue
 		}

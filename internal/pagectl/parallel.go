@@ -66,6 +66,7 @@ type ParallelPager struct {
 	coreProc *sched.Process
 	bulkProc *sched.Process
 
+	// stats holds the faulter-path fields; see FaultStats.
 	stats FaultStats
 	pm    pagerMetrics
 	// cands is the core-freeing process's reusable eviction-candidate
@@ -76,8 +77,8 @@ type ParallelPager struct {
 	KernelEvictions int64
 }
 
-// SetMetrics publishes fault handling into reg under pagectl.* names; nil
-// detaches the pager.
+// SetMetrics counts fault handling in reg under pagectl.* names; nil
+// selects a private registry, as the constructor does.
 func (p *ParallelPager) SetMetrics(reg *metrics.Registry) { p.pm.resolve(reg) }
 
 // NewParallelPager creates the pager and spawns its two dedicated kernel
@@ -94,6 +95,7 @@ func NewParallelPager(store *mem.Store, sch *sched.Scheduler, cfg ParallelConfig
 		policy = NewClockPolicy(store)
 	}
 	p := &ParallelPager{store: store, sch: sch, cfg: cfg, policy: policy}
+	p.pm.resolve(nil)
 	p.framesAvail = ipc.NewChannel("pc.frames-available", sch, nil)
 	p.coreWork = ipc.NewChannel("pc.core-work", sch, nil)
 	p.bulkWork = ipc.NewChannel("pc.bulk-work", sch, nil)
@@ -114,7 +116,7 @@ func NewParallelPager(store *mem.Store, sch *sched.Scheduler, cfg ParallelConfig
 }
 
 // Stats implements Pager.
-func (p *ParallelPager) Stats() FaultStats { return p.stats }
+func (p *ParallelPager) Stats() FaultStats { return p.pm.view(p.stats) }
 
 // coreFreeingBody is the dedicated process that "runs in a loop making sure
 // that some small number of free primary memory blocks always exist".
@@ -156,8 +158,7 @@ func (p *ParallelPager) coreFreeingBody(pc *sched.ProcCtx) {
 			if errors.Is(err, mem.ErrIO) {
 				// Injected transient I/O error: back off and retry rather
 				// than killing the dedicated process.
-				p.stats.IORetries++
-				p.pm.ioRetry()
+				p.pm.ioRetries.Inc()
 				pc.Sleep(ioRetryBackoff)
 				continue
 			}
@@ -199,8 +200,7 @@ func (p *ParallelPager) bulkFreeingBody(pc *sched.ProcCtx) {
 				continue // block raced away; pick another
 			}
 			if errors.Is(err, mem.ErrIO) {
-				p.stats.IORetries++
-				p.pm.ioRetry()
+				p.pm.ioRetries.Inc()
 				pc.Sleep(ioRetryBackoff)
 				continue
 			}
@@ -224,11 +224,7 @@ func (p *ParallelPager) bulkFreeingBody(pc *sched.ProcCtx) {
 // core-freeing process if frames ran out, wait, fetch the page.
 func (p *ParallelPager) Handle(pc *sched.ProcCtx, pf *machine.PageFault) error {
 	start := pc.Now()
-	defer func() {
-		p.stats.Faults++
-		p.stats.WaitCycles += pc.Now() - start
-		p.pm.fault(pc.Now() - start)
-	}()
+	defer func() { p.pm.fault(pc.Now() - start) }()
 	pid := mem.PageID{SegUID: pf.SegTag, Index: pf.Page}
 	ioAttempts := 0
 	for {
@@ -255,8 +251,7 @@ func (p *ParallelPager) Handle(pc *sched.ProcCtx, pf *machine.PageFault) error {
 			if ioAttempts > ioRetryLimit {
 				return fmt.Errorf("pagectl(parallel): page-in of %v: %d retries exhausted: %w", pid, ioRetryLimit, err)
 			}
-			p.stats.IORetries++
-			p.pm.ioRetry()
+			p.pm.ioRetries.Inc()
 			pc.Sleep(ioRetryBackoff << (ioAttempts - 1))
 			continue
 		}

@@ -16,6 +16,7 @@ targets="
 ./internal/machine:FuzzArgStringTransfer
 ./internal/blockstore:FuzzJournalReplay
 ./internal/core:FuzzRestoreManifest
+./internal/linker:FuzzListSymbols
 "
 
 for t in $targets; do

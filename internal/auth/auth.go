@@ -17,9 +17,9 @@ import (
 	"hash/fnv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/acl"
+	"repro/internal/metrics"
 	"repro/internal/mls"
 )
 
@@ -221,28 +221,34 @@ type Session struct {
 type ProcessCreator func(s Session) error
 
 // Service is the answering service. Login may be called from many
-// goroutines at once; the outcome counters are updated atomically.
+// goroutines at once.
 type Service struct {
 	Placement Placement
 	registry  *Registry
 	create    ProcessCreator
 
-	// Logins and Failures count outcomes for the reports. Read them with
-	// sync/atomic (or via LoginCount/FailureCount) when logins may be in
-	// flight.
-	Logins, Failures int64
+	// logins and failures count outcomes as auth.logins and
+	// auth.login_failures in the metrics registry.
+	logins, failures *metrics.Counter
 }
 
-// NewService returns an answering service in the given placement.
-func NewService(placement Placement, registry *Registry, create ProcessCreator) *Service {
-	return &Service{Placement: placement, registry: registry, create: create}
+// NewService returns an answering service in the given placement, counting
+// its outcomes in reg (the kernel's unified registry).
+func NewService(placement Placement, registry *Registry, create ProcessCreator, reg *metrics.Registry) *Service {
+	return &Service{
+		Placement: placement,
+		registry:  registry,
+		create:    create,
+		logins:    reg.Counter("auth.logins"),
+		failures:  reg.Counter("auth.login_failures"),
+	}
 }
 
 // Login authenticates person/password, validates the project and the
 // requested label against the clearance, and creates the process.
 func (s *Service) Login(person, project, password string, requested mls.Label) (Session, error) {
 	fail := func(err error) (Session, error) {
-		atomic.AddInt64(&s.Failures, 1)
+		s.failures.Inc()
 		return Session{}, err
 	}
 	if err := s.registry.Authenticate(person, password); err != nil {
@@ -267,15 +273,15 @@ func (s *Service) Login(person, project, password string, requested mls.Label) (
 			return fail(fmt.Errorf("auth: creating process: %w", err))
 		}
 	}
-	atomic.AddInt64(&s.Logins, 1)
+	s.logins.Inc()
 	return sess, nil
 }
 
-// LoginCount returns the number of successful logins, safely.
-func (s *Service) LoginCount() int64 { return atomic.LoadInt64(&s.Logins) }
+// LoginCount returns the number of successful logins.
+func (s *Service) LoginCount() int64 { return s.logins.Value() }
 
-// FailureCount returns the number of failed logins, safely.
-func (s *Service) FailureCount() int64 { return atomic.LoadInt64(&s.Failures) }
+// FailureCount returns the number of failed logins.
+func (s *Service) FailureCount() int64 { return s.failures.Value() }
 
 // KernelCodeUnits reports how much of the answering service counts as
 // protected kernel code in this placement: everything when privileged, only

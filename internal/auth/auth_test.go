@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/mls"
 )
 
@@ -83,7 +84,7 @@ func TestFailureCounterResetsOnSuccess(t *testing.T) {
 func TestLoginHappyPath(t *testing.T) {
 	r := reg(t)
 	created := 0
-	svc := NewService(Subsystem, r, func(s Session) error { created++; return nil })
+	svc := NewService(Subsystem, r, func(s Session) error { created++; return nil }, metrics.New())
 	sess, err := svc.Login("Schroeder", "CSR", "multics75", mls.NewLabel(mls.Secret, "nato"))
 	if err != nil {
 		t.Fatalf("Login: %v", err)
@@ -91,14 +92,14 @@ func TestLoginHappyPath(t *testing.T) {
 	if sess.Principal.String() != "Schroeder.CSR.a" {
 		t.Errorf("principal = %v", sess.Principal)
 	}
-	if created != 1 || svc.Logins != 1 {
-		t.Errorf("created=%d logins=%d", created, svc.Logins)
+	if created != 1 || svc.LoginCount() != 1 {
+		t.Errorf("created=%d logins=%d", created, svc.LoginCount())
 	}
 }
 
 func TestLoginAtLowerLabel(t *testing.T) {
 	r := reg(t)
-	svc := NewService(Subsystem, r, nil)
+	svc := NewService(Subsystem, r, nil, metrics.New())
 	if _, err := svc.Login("Schroeder", "CSR", "multics75", mls.NewLabel(mls.Unclassified)); err != nil {
 		t.Errorf("login below clearance: %v", err)
 	}
@@ -106,7 +107,7 @@ func TestLoginAtLowerLabel(t *testing.T) {
 
 func TestLoginRejections(t *testing.T) {
 	r := reg(t)
-	svc := NewService(Privileged, r, nil)
+	svc := NewService(Privileged, r, nil, metrics.New())
 	if _, err := svc.Login("Schroeder", "CSR", "bad", mls.NewLabel(mls.Unclassified)); !errors.Is(err, ErrBadPassword) {
 		t.Errorf("bad pw = %v", err)
 	}
@@ -116,8 +117,8 @@ func TestLoginRejections(t *testing.T) {
 	if _, err := svc.Login("Schroeder", "CSR", "multics75", mls.NewLabel(mls.TopSecret)); !errors.Is(err, ErrClearance) {
 		t.Errorf("over clearance = %v", err)
 	}
-	if svc.Failures != 3 {
-		t.Errorf("failures = %d", svc.Failures)
+	if svc.FailureCount() != 3 {
+		t.Errorf("failures = %d", svc.FailureCount())
 	}
 }
 
@@ -126,7 +127,7 @@ func TestAddProject(t *testing.T) {
 	if err := r.AddProject("Schroeder", "Mitre"); err != nil {
 		t.Fatal(err)
 	}
-	svc := NewService(Subsystem, r, nil)
+	svc := NewService(Subsystem, r, nil, metrics.New())
 	if _, err := svc.Login("Schroeder", "Mitre", "multics75", mls.NewLabel(mls.Unclassified)); err != nil {
 		t.Errorf("second project login: %v", err)
 	}
@@ -148,8 +149,8 @@ func TestClearanceLookup(t *testing.T) {
 
 func TestPlacementChangesKernelFootprintNotBehaviour(t *testing.T) {
 	r := reg(t)
-	priv := NewService(Privileged, r, nil)
-	sub := NewService(Subsystem, r, nil)
+	priv := NewService(Privileged, r, nil, metrics.New())
+	sub := NewService(Subsystem, r, nil, metrics.New())
 	if priv.KernelCodeUnits() <= sub.KernelCodeUnits() {
 		t.Errorf("privileged placement (%d units) must carry more kernel code than subsystem (%d)",
 			priv.KernelCodeUnits(), sub.KernelCodeUnits())
@@ -165,7 +166,7 @@ func TestPlacementChangesKernelFootprintNotBehaviour(t *testing.T) {
 func TestCreateProcessFailurePropagates(t *testing.T) {
 	r := reg(t)
 	boom := errors.New("no process slots")
-	svc := NewService(Subsystem, r, func(Session) error { return boom })
+	svc := NewService(Subsystem, r, func(Session) error { return boom }, metrics.New())
 	if _, err := svc.Login("Schroeder", "CSR", "multics75", mls.NewLabel(mls.Unclassified)); !errors.Is(err, boom) {
 		t.Errorf("create failure = %v", err)
 	}

@@ -2,10 +2,12 @@ package auth
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/acl"
+	"repro/internal/metrics"
 	"repro/internal/mls"
 )
 
@@ -28,7 +30,7 @@ func TestLoginConcurrent(t *testing.T) {
 		created++
 		cmu.Unlock()
 		return nil
-	})
+	}, metrics.New())
 	const perUser = 32
 	var wg sync.WaitGroup
 	errs := make(chan error, users*perUser)
@@ -104,63 +106,95 @@ func TestConcurrentFailureLockout(t *testing.T) {
 	}
 }
 
-// A password change racing a storm of logins: every login must observe
-// either the old or the new password as valid — never neither — and once
-// the change commits, the old password must fail.
+// A password change racing a storm of logins. The flipper counts flips
+// started and finished under a mutex; a login that began after flip k
+// finished and ended before flip k+1 started overlapped no flip, so it
+// must see exactly the password flip k installed: that one succeeds and
+// the other fails with ErrBadPassword. A login that overlapped a flip may
+// go either way. After each flip the flipper waits for two more logins to
+// end, so at least one login per flip is checked exactly. Once the flips
+// stop, the old password must fail.
 func TestChangePasswordRacingLogin(t *testing.T) {
 	r := NewRegistry()
-	if err := r.AddUser("Racer", "Proj", "old-password", mls.NewLabel(mls.Secret)); err != nil {
+	passwords := [2]string{"old-password", "new-password"}
+	if err := r.AddUser("Racer", "Proj", passwords[0], mls.NewLabel(mls.Secret)); err != nil {
 		t.Fatal(err)
 	}
-	svc := NewService(Subsystem, r, nil)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	errs := make(chan error, 1)
-	wg.Add(1)
+	svc := NewService(Subsystem, r, nil, metrics.New())
+	const flips = 50
+	var (
+		mu                sync.Mutex
+		cond              = sync.NewCond(&mu)
+		started, finished int  // flips
+		logins, checked   int  // logins ended, and those checked exactly
+		stop, done        bool // the login storm is asked to stop, has stopped
+		failure           error
+	)
 	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
+		defer func() {
+			mu.Lock()
+			done = true
+			cond.Broadcast()
+			mu.Unlock()
+		}()
+		for i := 0; ; i++ {
+			pw := passwords[i%2]
+			mu.Lock()
+			k, stopped := finished, stop
+			mu.Unlock()
+			if stopped {
 				return
-			default:
 			}
-			// Either password may be current; at least one must work.
-			_, errOld := svc.Login("Racer", "Proj", "old-password", mls.NewLabel(mls.Unclassified))
-			_, errNew := svc.Login("Racer", "Proj", "new-password", mls.NewLabel(mls.Unclassified))
-			if errOld != nil && errNew != nil {
-				select {
-				case errs <- errors.Join(errOld, errNew):
-				default:
-				}
+			_, err := svc.Login("Racer", "Proj", pw, mls.NewLabel(mls.Unclassified))
+			mu.Lock()
+			logins++
+			cond.Broadcast()
+			exact := started == k // no flip began since flip k finished
+			if exact {
+				checked++
+			}
+			mu.Unlock()
+			current := pw == passwords[k%2]
+			if exact && ((current && err != nil) || (!current && !errors.Is(err, ErrBadPassword))) {
+				failure = fmt.Errorf("login with %q after %d flips, overlapping none: %v", pw, k, err)
 				return
 			}
 		}
 	}()
-	// Flip the password back and forth under the login storm. Note the
-	// failed Authenticate inside ChangePassword with the stale password
-	// bumps the failure counter, so reset it by succeeding with the
-	// current one (authenticateLocked zeroes failures on success) — the
-	// alternation below always authenticates with the current password.
-	cur, next := "old-password", "new-password"
-	for i := 0; i < 50; i++ {
-		if err := r.ChangePassword("Racer", cur, next); err != nil {
+	// Flip the password back and forth under the login storm. Each
+	// ChangePassword authenticates with the current password, which also
+	// zeroes the failure count the storm's stale logins build up.
+	for i := 0; i < flips; i++ {
+		mu.Lock()
+		started++
+		mu.Unlock()
+		if err := r.ChangePassword("Racer", passwords[i%2], passwords[(i+1)%2]); err != nil {
 			t.Fatalf("change %d: %v", i, err)
 		}
-		cur, next = next, cur
+		mu.Lock()
+		finished++
+		for want := logins + 2; logins < want && !done; {
+			cond.Wait()
+		}
+		mu.Unlock()
 	}
-	close(stop)
-	wg.Wait()
-	select {
-	case err := <-errs:
-		t.Errorf("login found neither password valid: %v", err)
-	default:
+	mu.Lock()
+	stop = true
+	for !done {
+		cond.Wait()
 	}
-	// After the loop cur holds whichever password the last flip installed.
-	if err := r.Authenticate("Racer", cur); err != nil {
+	mu.Unlock()
+	if failure != nil {
+		t.Fatal(failure)
+	}
+	if checked < flips {
+		t.Errorf("%d logins overlapped no flip, want at least one per flip (%d)", checked, flips)
+	}
+	// An even number of flips leaves the first password current.
+	if err := r.Authenticate("Racer", passwords[0]); err != nil {
 		t.Errorf("final password rejected: %v", err)
 	}
-	if err := r.Authenticate("Racer", next); !errors.Is(err, ErrBadPassword) {
+	if err := r.Authenticate("Racer", passwords[1]); !errors.Is(err, ErrBadPassword) {
 		t.Errorf("stale password = %v, want ErrBadPassword", err)
 	}
 }
@@ -169,7 +203,7 @@ func TestChangePasswordRacingLogin(t *testing.T) {
 // registry; once AddProject returns, logins on that project succeed.
 func TestAddProjectConcurrent(t *testing.T) {
 	r := reg(t)
-	svc := NewService(Privileged, r, nil)
+	svc := NewService(Privileged, r, nil, metrics.New())
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)

@@ -309,7 +309,7 @@ func build(cfg Config, rst *restoreState) (*Kernel, error) {
 	if cfg.Stage >= S4LoginDemoted {
 		placement = auth.Subsystem
 	}
-	k.answer = auth.NewService(placement, k.registry, nil)
+	k.answer = auth.NewService(placement, k.registry, nil, k.metrics)
 
 	k.devices = newDeviceTable(cfg.Stage, k.store)
 

@@ -3,7 +3,6 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/netattach"
 	"repro/internal/workload"
@@ -89,13 +88,14 @@ func (r RunReport) Format() string {
 }
 
 // Run replays the compiled scenario across the fleet: every session is
-// routed to its home kernel, driven by its own goroutine through its
-// burst schedule, optionally migrated between kernels mid-script, and
-// its reply transcript hashed. Per-session transcripts are pure
-// functions of the scripts, so SessionDigest is identical whether the
-// fleet has 1 kernel or 16 and whether sessions migrated zero times or
-// every burst — that is the tentpole claim E17 measures, and E21
-// extends it to mixed persona schedules.
+// routed to its home kernel, driven through its burst schedule by one
+// round loop (the same one workload's replay runs), optionally migrated
+// between kernels mid-script, and its reply transcript hashed.
+// Per-session transcripts are pure functions of the scripts, so
+// SessionDigest is identical whether the fleet has 1 kernel or 16 and
+// whether sessions migrated zero times or every burst — that is the
+// tentpole claim E17 measures, and E21 extends it to mixed persona
+// schedules.
 func Run(f *Fleet, cfg RunConfig) (*RunReport, error) {
 	if cfg.Scenario == nil {
 		return nil, fmt.Errorf("fleet: RunConfig needs a Scenario")
@@ -129,8 +129,7 @@ func Run(f *Fleet, cfg RunConfig) (*RunReport, error) {
 	migrationsBefore := f.mMigrations.Value()
 	migFailuresBefore := f.mMigrationFailures.Value()
 
-	// Attach in script order (deterministic routing trace), then hand
-	// each session to its own goroutine.
+	// Attach in script order (deterministic routing trace).
 	sessions := make([]*Session, len(scripts))
 	for i, s := range scripts {
 		sess, err := f.Attach(s.Person, s.Project, s.Password, s.Level)
@@ -144,21 +143,42 @@ func Run(f *Fleet, cfg RunConfig) (*RunReport, error) {
 		rep.PerKernel[sess.Home()].Sessions++
 	}
 
-	// Each session's goroutine owns its tally and error slot; the fold
-	// below walks them in session order.
 	tallies := make([]workload.Tally, len(sessions))
-	errs := make([]error, len(sessions))
-
-	var wg sync.WaitGroup
-	for i := range sessions {
+	for i := range tallies {
 		tallies[i] = workload.NewTally()
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = runSession(sessions[i], scripts[i], plan.Windows[i], &tallies[i], i, n, cfg.MigrateEvery)
-		}(i)
 	}
-	wg.Wait()
+	errs := make([]error, len(sessions))
+	// Each round, every session with a burst due sends it; then each of
+	// those sessions is drained, collected and migrated on its cadence,
+	// in session order. A session that fails sits out the rest.
+	sent := make([]int, len(sessions)) // bursts sent so far, per session
+	due := make([]bool, len(sessions))
+	for round := 0; round < plan.Rounds; round++ {
+		for i, sess := range sessions {
+			ws := plan.Windows[i]
+			due[i] = errs[i] == nil && sent[i] < len(ws) && ws[sent[i]].Round == round
+			if !due[i] {
+				continue
+			}
+			w := ws[sent[i]]
+			sent[i]++
+			for s := w.Lo; s < w.Hi; s++ {
+				if err := tallies[i].Send(sess.Conn(), scripts[i].Steps[s]); err != nil {
+					errs[i] = fmt.Errorf("fleet: session %d send %d: %w", i, s, err)
+				}
+			}
+		}
+		for i, sess := range sessions {
+			if due[i] && errs[i] == nil {
+				errs[i] = collect(sess, &tallies[i], i, sent[i], n, cfg.MigrateEvery)
+			}
+		}
+	}
+	for i, sess := range sessions {
+		if err := sess.Close(); err != nil && errs[i] == nil {
+			errs[i] = fmt.Errorf("fleet: session %d close: %w", i, err)
+		}
+	}
 
 	for i, t := range tallies {
 		if errs[i] != nil {
@@ -201,39 +221,22 @@ func Run(f *Fleet, cfg RunConfig) (*RunReport, error) {
 	return rep, nil
 }
 
-// runSession drives session i through its burst schedule on its own
-// goroutine: fire each burst, drain it, fold the replies into t, and
-// migrate to the next of n kernels after every migrateEvery bursts.
-// The session is closed before runSession returns.
-func runSession(sess *Session, script workload.Script, ws []workload.Window, t *workload.Tally, i, n, migrateEvery int) (err error) {
-	defer func() {
-		if cerr := sess.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("fleet: session %d close: %w", i, cerr)
-		}
-	}()
-	for burstNo, w := range ws {
-		var sendErr error
-		for s := w.Lo; s < w.Hi; s++ {
-			if err := t.Send(sess.Conn(), script.Steps[s]); err != nil {
-				sendErr = fmt.Errorf("fleet: session %d send %d: %w", i, s, err)
-			}
-		}
-		if sendErr != nil {
-			return sendErr
-		}
-		if err := sess.Conn().Drain(); err != nil {
-			return fmt.Errorf("fleet: session %d drain: %w", i, err)
-		}
-		if err := t.Drain(sess.Conn(), i); err != nil {
-			return fmt.Errorf("fleet: session %d recv: %w", i, err)
-		}
-		if migrateEvery > 0 && n > 1 && (burstNo+1)%migrateEvery == 0 {
-			// A failed migration falls back to the home kernel and keeps
-			// serving; only a dead fallback kills the session (surfaced by
-			// the next send).
-			if err := sess.Migrate((sess.Home() + 1) % n); errors.Is(err, netattach.ErrReplayMismatch) {
-				return fmt.Errorf("fleet: session %d: %w", i, err)
-			}
+// collect drains session i after its bursts-th burst, folds the replies
+// into t, and migrates the session to the next of n kernels after every
+// migrateEvery bursts.
+func collect(sess *Session, t *workload.Tally, i, bursts, n, migrateEvery int) error {
+	if err := sess.Conn().Drain(); err != nil {
+		return fmt.Errorf("fleet: session %d drain: %w", i, err)
+	}
+	if err := t.Drain(sess.Conn(), i); err != nil {
+		return fmt.Errorf("fleet: session %d recv: %w", i, err)
+	}
+	if migrateEvery > 0 && n > 1 && bursts%migrateEvery == 0 {
+		// A failed migration falls back to the home kernel and keeps
+		// serving; only a dead fallback kills the session (surfaced by
+		// the next send).
+		if err := sess.Migrate((sess.Home() + 1) % n); errors.Is(err, netattach.ErrReplayMismatch) {
+			return fmt.Errorf("fleet: session %d: %w", i, err)
 		}
 	}
 	return nil

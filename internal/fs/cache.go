@@ -17,9 +17,6 @@
 package fs
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/acl"
 	"repro/internal/metrics"
 )
@@ -33,32 +30,20 @@ type decisionKey struct {
 	want  acl.Mode
 }
 
-const (
-	decShardCount = 16
-	// decShardCap bounds each shard; on overflow the shard is reset
-	// wholesale (epoch eviction — cheap, and a dropped entry only costs a
-	// recomputation).
-	decShardCap = 1 << 14
-)
+// decisionCap bounds the cache; on overflow it is reset wholesale (epoch
+// eviction — cheap, and a dropped entry only costs a recomputation).
+const decisionCap = 1 << 18
 
-type decShard struct {
-	mu sync.RWMutex
-	m  map[decisionKey]uint64 // value: aclGen at fill time
-}
-
+// decisionCache is guarded by the hierarchy's mu.
 type decisionCache struct {
-	shards  [decShardCount]decShard
-	enabled uint32 // atomic; 1 = on
+	m       map[decisionKey]uint64 // value: aclGen at fill time
+	enabled bool
 
 	hits, misses, fills, invalidations, evictions *metrics.Counter
 }
 
 func newDecisionCache() *decisionCache {
-	c := &decisionCache{enabled: 1}
-	for i := range c.shards {
-		c.shards[i].m = make(map[decisionKey]uint64)
-	}
-	return c
+	return &decisionCache{m: make(map[decisionKey]uint64), enabled: true}
 }
 
 func (c *decisionCache) bind(reg *metrics.Registry) {
@@ -69,43 +54,10 @@ func (c *decisionCache) bind(reg *metrics.Registry) {
 	c.evictions = reg.Counter("fs.acl_cache.evictions")
 }
 
-func (c *decisionCache) on() bool { return atomic.LoadUint32(&c.enabled) == 1 }
-
-func (c *decisionCache) setEnabled(on bool) {
-	if on {
-		atomic.StoreUint32(&c.enabled, 1)
-	} else {
-		atomic.StoreUint32(&c.enabled, 0)
-		c.flush()
-	}
-}
-
-// flush drops every cached decision (used when state changes bypass the
-// generation discipline, e.g. salvager repair of corrupted structures).
-func (c *decisionCache) flush() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.m = make(map[decisionKey]uint64)
-		s.mu.Unlock()
-	}
-}
-
-func (c *decisionCache) shard(k decisionKey) *decShard {
-	// The UID alone spreads well: one object's decisions land on one
-	// shard, but objects are many and UIDs sequential.
-	return &c.shards[k.uid&(decShardCount-1)]
-}
-
 // lookup reports whether a positive verdict for k is cached and still
-// valid at generation gen (the object's current aclGen, loaded by the
-// caller before probing).
+// valid at generation gen (the object's current aclGen).
 func (c *decisionCache) lookup(k decisionKey, gen uint64) bool {
-	s := c.shard(k)
-	s.mu.RLock()
-	stored, ok := s.m[k]
-	s.mu.RUnlock()
-	if ok && stored == gen {
+	if stored, ok := c.m[k]; ok && stored == gen {
 		c.hits.Inc()
 		return true
 	}
@@ -113,19 +65,13 @@ func (c *decisionCache) lookup(k decisionKey, gen uint64) bool {
 	return false
 }
 
-// store records a positive verdict computed at generation gen. gen must
-// have been loaded *before* the verdict was computed: a revocation landing
-// in between bumps the object past gen, so the entry is stillborn rather
-// than stale.
+// store records a positive verdict computed at generation gen.
 func (c *decisionCache) store(k decisionKey, gen uint64) {
-	s := c.shard(k)
-	s.mu.Lock()
-	if len(s.m) >= decShardCap {
-		s.m = make(map[decisionKey]uint64)
+	if len(c.m) >= decisionCap {
+		clear(c.m)
 		c.evictions.Inc()
 	}
-	s.m[k] = gen
-	s.mu.Unlock()
+	c.m[k] = gen
 	c.fills.Inc()
 }
 
@@ -137,6 +83,8 @@ type CacheStats struct {
 
 // CacheStats snapshots the decision- and path-cache counters.
 func (h *Hierarchy) CacheStats() CacheStats {
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	return CacheStats{
 		ACLHits:           h.dec.hits.Value(),
 		ACLMisses:         h.dec.misses.Value(),
@@ -155,14 +103,26 @@ func (h *Hierarchy) CacheStats() CacheStats {
 // them, so re-enabling starts cold; the uncached mode exists for the
 // E-series baseline measurements and for salvage of damaged hierarchies.
 func (h *Hierarchy) SetCacheEnabled(on bool) {
-	h.dec.setEnabled(on)
-	h.paths.setEnabled(on)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.dec.enabled = on
+	h.paths.enabled = on
+	if !on {
+		h.flushCaches()
+	}
 }
 
 // FlushCaches drops every cached decision and path prefix. The salvager
-// calls this after repairing structures out from under the generation
+// flushes after repairing structures out from under the generation
 // discipline; tests use it to force cold starts.
 func (h *Hierarchy) FlushCaches() {
-	h.dec.flush()
-	h.paths.flush()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.flushCaches()
+}
+
+// flushCaches is FlushCaches with h.mu held.
+func (h *Hierarchy) flushCaches() {
+	h.dec.m = make(map[decisionKey]uint64)
+	h.paths.subjs = make(map[subjKey]map[string]*pathEntry)
 }

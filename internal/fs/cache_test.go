@@ -268,6 +268,9 @@ func TestLinkChainsUpToMaxDepth(t *testing.T) {
 		}
 		prev = ">" + name
 	}
+	if err := h.AddLink(alice, unc, RootUID, "over", prev); err != nil {
+		t.Fatal(err)
+	}
 	// A chain of exactly maxLinkDepth links resolves (twice: cold and cached)...
 	for i := 0; i < 2; i++ {
 		uid, err := h.ResolvePath(alice, unc, fmt.Sprintf(">l%d", maxLinkDepth))
@@ -275,10 +278,8 @@ func TestLinkChainsUpToMaxDepth(t *testing.T) {
 			t.Fatalf("chain of %d (pass %d): %#x, %v", maxLinkDepth, i, uid, err)
 		}
 	}
-	// ...one more hop exceeds the bound.
-	if err := h.AddLink(alice, unc, RootUID, "over", prev); err != nil {
-		t.Fatal(err)
-	}
+	// ...one more hop exceeds the bound, even with the rest of the chain
+	// cached and valid.
 	if _, err := h.ResolvePath(alice, unc, ">over"); !errors.Is(err, ErrLinkLoop) {
 		t.Errorf("chain of %d = %v, want ErrLinkLoop", maxLinkDepth+1, err)
 	}
@@ -292,9 +293,9 @@ func TestPathOfBoundedOnLongParentCycle(t *testing.T) {
 	// depth bound this spun forever (only self-parent was detected).
 	objA, _ := h.Object(a)
 	objB, _ := h.Object(b)
-	objA.mu.Lock()
+	h.mu.Lock()
 	objA.parent = b
-	objA.mu.Unlock()
+	h.mu.Unlock()
 	_ = objB
 	if _, err := h.PathOf(b); !errors.Is(err, ErrParentLoop) {
 		t.Errorf("PathOf on 2-cycle = %v, want ErrParentLoop", err)

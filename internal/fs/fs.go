@@ -21,27 +21,31 @@
 //     the new simpler interface that lets tree-name resolution move into the
 //     user ring.
 //
-// Concurrency: the hierarchy is safe for concurrent use. The object table
-// is striped into independent shards keyed by UID, and every object carries
-// its own lock guarding the mutable branch attributes (name, parent, label,
-// ACL, bit count, and — for directories — the entry map). Lock order is
-// parent directory before child object; the shard maps are leaves taken
-// last. Hot-path access checks and tree-name walks are memoized by the
+// Concurrency: the hierarchy is safe for concurrent use through one lock,
+// Hierarchy.mu. Every exported method holds it for the whole operation; it
+// guards the object table, every object's mutable branch attributes (name,
+// parent, label, ACL, bit count, and — for directories — the entry map and
+// sorted listing), both caches, the generation counters, the mutation
+// epoch and the UID allocator. Object's exported accessors take the same
+// lock through the object's back-pointer to its hierarchy. Unexported
+// helpers assume the lock is held, so no exported method calls another.
+// Lock order is fs before mem.Store: Create, Delete and Salvage call the
+// store under the lock, and nothing in mem calls back into fs.
+//
+// Hot-path access checks and tree-name walks are memoized by the
 // revocation-safe caches in cache.go and pathcache.go: every mutation of an
 // ACL, label, or directory entry bumps the owning object's generation
-// counter inside the same critical section, which atomically kills every
-// cached decision derived from the old state (the same discipline the
-// machine's SDW associative memory enforces from DescriptorSegment.Set).
+// counter in the same critical section, which kills every cached decision
+// derived from the old state (the same discipline the machine's SDW
+// associative memory enforces from DescriptorSegment.Set).
 package fs
 
 import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/acl"
 	"repro/internal/machine"
@@ -79,16 +83,17 @@ const RootUID uint64 = 1
 // carries: the ACL, ring brackets, and (for directories) the entry map.
 //
 // UID, Kind, Author, Brackets and Gates are immutable after creation and
-// may be read freely. The remaining attributes are guarded by mu and read
-// through the accessor methods; they are mutated only by Hierarchy methods,
-// which bump the generation counters so the decision and path caches never
-// honor state from before the mutation.
+// may be read freely. The remaining attributes are guarded by the owning
+// hierarchy's mu and read through the accessor methods; they are mutated
+// only by Hierarchy methods, which bump the generation counters so the
+// decision and path caches never honor state from before the mutation.
 type Object struct {
+	// h is the hierarchy whose lock guards the fields below.
+	h *Hierarchy
 	// aclGen counts ACL and label changes; entGen counts directory-entry
-	// changes (create/delete/link/rename). They are read with atomic loads
-	// on cache-validation paths and bumped with atomic adds inside the
-	// owning critical section — invalidation generations, not statistics
-	// (the op and cache statistics live in the metrics registry).
+	// changes (create/delete/link/rename) — invalidation generations, not
+	// statistics (the op and cache statistics live in the metrics
+	// registry).
 	aclGen uint64
 	entGen uint64
 
@@ -100,7 +105,6 @@ type Object struct {
 	Brackets machine.Brackets
 	Gates    int
 
-	mu sync.RWMutex
 	// name is the branch name in the parent directory.
 	name string
 	// parent is the parent directory UID (RootUID's parent is itself).
@@ -114,7 +118,7 @@ type Object struct {
 	// list is the directory's name-sorted listing, built on first use and
 	// honored only while entGen still equals the generation it was built
 	// under (see sortedLocked).
-	list atomic.Pointer[listing]
+	list *listing
 	// dead marks an object whose branch has been deleted; a stale pointer
 	// obtained before the delete must not mutate it.
 	dead bool
@@ -122,59 +126,51 @@ type Object struct {
 
 // Name returns the object's branch name in its parent directory.
 func (o *Object) Name() string {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
+	o.h.mu.Lock()
+	defer o.h.mu.Unlock()
 	return o.name
 }
 
 // Parent returns the parent directory UID (the root is its own parent).
 func (o *Object) Parent() uint64 {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
+	o.h.mu.Lock()
+	defer o.h.mu.Unlock()
 	return o.parent
 }
 
 // Label returns the object's mandatory security label.
 func (o *Object) Label() mls.Label {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
+	o.h.mu.Lock()
+	defer o.h.mu.Unlock()
 	return o.label
 }
 
 // BitCount returns the branch bit count.
 func (o *Object) BitCount() int {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
+	o.h.mu.Lock()
+	defer o.h.mu.Unlock()
 	return o.bitCount
 }
 
 // ACLEntries returns a copy of the branch ACL, most specific first.
 func (o *Object) ACLEntries() []acl.Entry {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
+	o.h.mu.Lock()
+	defer o.h.mu.Unlock()
 	return o.dacl.Entries()
 }
 
 // ACLModeFor computes the discretionary mode the branch ACL grants who.
 func (o *Object) ACLModeFor(who acl.Principal) acl.Mode {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
+	o.h.mu.Lock()
+	defer o.h.mu.Unlock()
 	return o.dacl.ModeFor(who)
 }
 
 // CheckACL verifies who holds every bit of want on the branch ACL.
 func (o *Object) CheckACL(who acl.Principal, want acl.Mode) error {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
+	o.h.mu.Lock()
+	defer o.h.mu.Unlock()
 	return o.dacl.Check(who, want)
-}
-
-// nameParent returns name and parent under one lock acquisition (PathOf
-// walks many objects; half the lock traffic matters there).
-func (o *Object) nameParent() (string, uint64) {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.name, o.parent
 }
 
 // DirEntry is one entry of a directory: a branch to an object or a link to
@@ -198,14 +194,13 @@ type listing struct {
 }
 
 // sortedLocked returns dir's entries in name order. The caller holds
-// dir.mu (read or write). The listing is rebuilt only when an entry
-// mutation has moved entGen since it was built; every such mutation bumps
-// entGen inside its write-locked critical section, so a listing tagged
-// with the current generation is exactly the current entry map. The
-// result is shared: callers copy before handing it out.
+// h.mu. The listing is rebuilt only when an entry mutation has moved
+// entGen since it was built; every such mutation bumps entGen, so a
+// listing tagged with the current generation is exactly the current entry
+// map. The result is shared: callers copy before handing it out.
 func sortedLocked(dir *Object) []DirEntry {
-	gen := atomic.LoadUint64(&dir.entGen)
-	if l := dir.list.Load(); l != nil && l.gen == gen {
+	gen := dir.entGen
+	if l := dir.list; l != nil && l.gen == gen {
 		return l.entries
 	}
 	es := make([]DirEntry, 0, len(dir.entries))
@@ -213,7 +208,7 @@ func sortedLocked(dir *Object) []DirEntry {
 		es = append(es, *e)
 	}
 	slices.SortFunc(es, func(a, b DirEntry) int { return strings.Compare(a.Name, b.Name) })
-	dir.list.Store(&listing{gen: gen, entries: es})
+	dir.list = &listing{gen: gen, entries: es}
 	return es
 }
 
@@ -232,25 +227,20 @@ var (
 	ErrRootImmutable = errors.New("fs: the root directory cannot be deleted")
 )
 
-// objShardCount stripes the object table; a power of two so the shard
-// index is a mask.
-const objShardCount = 64
-
-type objShard struct {
-	mu      sync.RWMutex
-	objects map[uint64]*Object
-}
-
 // Hierarchy is the complete storage system: the layer-1 UID store plus the
 // layer-2 naming hierarchy.
 type Hierarchy struct {
-	store   *mem.Store
-	shards  [objShardCount]objShard
-	nextUID uint64 // atomic
+	store *mem.Store
 
-	// mutEpoch advances (atomically) on every generation bump anywhere in
-	// the hierarchy. Path-cache entries filled under the current epoch
-	// validate with a single load instead of a per-step generation scan;
+	// mu guards every field below and the mutable fields of every object
+	// in the table (see the package comment).
+	mu      sync.Mutex
+	objects map[uint64]*Object
+	nextUID uint64
+
+	// mutEpoch advances on every generation bump anywhere in the
+	// hierarchy. Path-cache entries filled under the current epoch
+	// validate with one comparison instead of a per-step generation scan;
 	// see pathcache.go.
 	mutEpoch uint64
 
@@ -284,10 +274,7 @@ func (c *opCounters) bind(reg *metrics.Registry) {
 // ACL initially grants sma to every principal; real installations tighten
 // it immediately.
 func New(store *mem.Store, rootLabel mls.Label) (*Hierarchy, error) {
-	h := &Hierarchy{store: store, nextUID: RootUID + 1}
-	for i := range h.shards {
-		h.shards[i].objects = make(map[uint64]*Object)
-	}
+	h := &Hierarchy{store: store, objects: make(map[uint64]*Object), nextUID: RootUID + 1}
 	// The hierarchy publishes into its own registry until the kernel hands
 	// it the system one via SetMetrics at boot.
 	h.SetMetrics(metrics.New())
@@ -296,6 +283,7 @@ func New(store *mem.Store, rootLabel mls.Label) (*Hierarchy, error) {
 		Mode: acl.ModeStatus | acl.ModeModify | acl.ModeAppend,
 	})
 	root := &Object{
+		h:        h,
 		UID:      RootUID,
 		Kind:     KindDirectory,
 		name:     ">",
@@ -305,7 +293,7 @@ func New(store *mem.Store, rootLabel mls.Label) (*Hierarchy, error) {
 		Brackets: machine.KernelBrackets(),
 		entries:  make(map[string]*DirEntry),
 	}
-	h.putObject(root)
+	h.objects[RootUID] = root
 	// Directories are layer-1 objects too: the hierarchy's own storage is
 	// paged like everything else.
 	if err := store.CreateSegment(RootUID, 0); err != nil {
@@ -318,6 +306,8 @@ func New(store *mem.Store, rootLabel mls.Label) (*Hierarchy, error) {
 // (the kernel's unified registry). Call before traffic; handles registered
 // earlier keep their counts in the old registry.
 func (h *Hierarchy) SetMetrics(reg *metrics.Registry) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	h.ops.bind(reg)
 	if h.dec == nil {
 		h.dec = newDecisionCache()
@@ -332,6 +322,8 @@ func (h *Hierarchy) Store() *mem.Store { return h.store }
 
 // OpStats returns a snapshot of the operation counts.
 func (h *Hierarchy) OpStats() OpStats {
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	return OpStats{
 		Creates:    h.ops.creates.Value(),
 		Deletes:    h.ops.deletes.Value(),
@@ -342,62 +334,43 @@ func (h *Hierarchy) OpStats() OpStats {
 	}
 }
 
-func (h *Hierarchy) shard(uid uint64) *objShard {
-	return &h.shards[uid&(objShardCount-1)]
-}
-
-func (h *Hierarchy) object(uid uint64) (*Object, bool) {
-	s := h.shard(uid)
-	s.mu.RLock()
-	o, ok := s.objects[uid]
-	s.mu.RUnlock()
-	return o, ok
-}
-
-func (h *Hierarchy) putObject(o *Object) {
-	s := h.shard(o.UID)
-	s.mu.Lock()
-	s.objects[o.UID] = o
-	s.mu.Unlock()
-}
-
-func (h *Hierarchy) removeObject(uid uint64) {
-	s := h.shard(uid)
-	s.mu.Lock()
-	delete(s.objects, uid)
-	s.mu.Unlock()
-}
-
 // Count returns the number of live objects in the hierarchy.
 func (h *Hierarchy) Count() int {
-	n := 0
-	for i := range h.shards {
-		h.shards[i].mu.RLock()
-		n += len(h.shards[i].objects)
-		h.shards[i].mu.RUnlock()
-	}
-	return n
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.objects)
 }
 
 // UIDs returns every live object UID in ascending order. The fault
 // plane uses the list to choose deterministic corruption targets for a
 // simulated crash; the salvager's own walk does not need it.
 func (h *Hierarchy) UIDs() []uint64 {
-	out := make([]uint64, 0, h.Count())
-	for i := range h.shards {
-		h.shards[i].mu.RLock()
-		for uid := range h.shards[i].objects {
-			out = append(out, uid)
-		}
-		h.shards[i].mu.RUnlock()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.sortedUIDs()
+}
+
+// sortedUIDs returns every live object UID in ascending order. The caller
+// holds h.mu.
+func (h *Hierarchy) sortedUIDs() []uint64 {
+	out := make([]uint64, 0, len(h.objects))
+	for uid := range h.objects {
+		out = append(out, uid)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
 // Object returns the object with the given UID.
 func (h *Hierarchy) Object(uid uint64) (*Object, error) {
-	o, ok := h.object(uid)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.object(uid)
+}
+
+// object returns the object with the given UID. The caller holds h.mu.
+func (h *Hierarchy) object(uid uint64) (*Object, error) {
+	o, ok := h.objects[uid]
 	if !ok {
 		return nil, fmt.Errorf("%w: %#x", ErrNoSuchUID, uid)
 	}
@@ -406,11 +379,12 @@ func (h *Hierarchy) Object(uid uint64) (*Object, error) {
 
 // allocUID generates the next system-wide unique identifier.
 func (h *Hierarchy) allocUID() uint64 {
-	return atomic.AddUint64(&h.nextUID, 1) - 1
+	h.nextUID++
+	return h.nextUID - 1
 }
 
 func (h *Hierarchy) directory(uid uint64) (*Object, error) {
-	o, err := h.Object(uid)
+	o, err := h.object(uid)
 	if err != nil {
 		return nil, err
 	}
@@ -420,10 +394,10 @@ func (h *Hierarchy) directory(uid uint64) (*Object, error) {
 	return o, nil
 }
 
-// checkDirLocked verifies discretionary directory access plus the
+// checkDirSlow verifies discretionary directory access plus the
 // mandatory checks: observing a directory requires reading it, changing it
-// requires writing it. The caller holds dir.mu (read or write).
-func checkDirLocked(dir *Object, who acl.Principal, subj mls.Label, want acl.Mode) error {
+// requires writing it.
+func checkDirSlow(dir *Object, who acl.Principal, subj mls.Label, want acl.Mode) error {
 	if err := dir.dacl.Check(who, want); err != nil {
 		return err
 	}
@@ -444,43 +418,41 @@ func checkDirLocked(dir *Object, who acl.Principal, subj mls.Label, want acl.Mod
 // verdict is honored only while the directory's ACL generation is
 // unchanged, so a revoked decision is never served (see cache.go).
 func (h *Hierarchy) checkDir(dir *Object, who acl.Principal, subj mls.Label, want acl.Mode) error {
-	if !h.dec.on() {
-		dir.mu.RLock()
-		err := checkDirLocked(dir, who, subj, want)
-		dir.mu.RUnlock()
-		return err
+	return h.checkCached(dir, who, subj, want, checkDirSlow)
+}
+
+// checkCached answers one access computation from the decision cache when
+// a positive verdict for it is stored at obj's current ACL generation, and
+// otherwise computes it with slow, caching a grant.
+func (h *Hierarchy) checkCached(obj *Object, who acl.Principal, subj mls.Label, want acl.Mode,
+	slow func(*Object, acl.Principal, mls.Label, acl.Mode) error) error {
+	if !h.dec.enabled {
+		return slow(obj, who, subj, want)
 	}
-	key := decisionKey{uid: dir.UID, who: who, label: subj.CacheKey(), want: want}
-	// Read the generation before the slow check: if a revocation lands
-	// between this load and the verdict, the entry is stored with a stale
-	// generation and can never be honored.
-	gen := atomic.LoadUint64(&dir.aclGen)
-	if h.dec.lookup(key, gen) {
+	key := decisionKey{uid: obj.UID, who: who, label: subj.CacheKey(), want: want}
+	if h.dec.lookup(key, obj.aclGen) {
 		return nil
 	}
-	dir.mu.RLock()
-	err := checkDirLocked(dir, who, subj, want)
-	dir.mu.RUnlock()
-	if err != nil {
+	if err := slow(obj, who, subj, want); err != nil {
 		return err
 	}
-	h.dec.store(key, gen)
+	h.dec.store(key, obj.aclGen)
 	return nil
 }
 
 // bumpACLGen invalidates every cached decision derived from o's ACL or
-// label. Call inside the critical section that mutates them.
+// label. Call in the operation that mutates them.
 func (h *Hierarchy) bumpACLGen(o *Object) {
-	atomic.AddUint64(&o.aclGen, 1)
-	atomic.AddUint64(&h.mutEpoch, 1)
+	o.aclGen++
+	h.mutEpoch++
 	h.dec.invalidations.Inc()
 }
 
 // bumpEntGen invalidates every cached path prefix that walked through o's
-// entry map. Call inside the critical section that mutates it.
+// entry map. Call in the operation that mutates it.
 func (h *Hierarchy) bumpEntGen(o *Object) {
-	atomic.AddUint64(&o.entGen, 1)
-	atomic.AddUint64(&h.mutEpoch, 1)
+	o.entGen++
+	h.mutEpoch++
 	h.paths.invalidations.Inc()
 }
 
@@ -503,6 +475,8 @@ type CreateOptions struct {
 // dominate the directory's (the compatibility rule that keeps labels
 // non-decreasing down the tree).
 func (h *Hierarchy) Create(who acl.Principal, subj mls.Label, dirUID uint64, name string, opts CreateOptions) (uint64, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	dir, err := h.directory(dirUID)
 	if err != nil {
 		return 0, err
@@ -531,9 +505,6 @@ func (h *Hierarchy) Create(who acl.Principal, subj mls.Label, dirUID uint64, nam
 	if !brackets.Valid() {
 		return 0, fmt.Errorf("fs: invalid ring brackets %v", brackets)
 	}
-
-	dir.mu.Lock()
-	defer dir.mu.Unlock()
 	if dir.dead {
 		return 0, fmt.Errorf("%w: %#x", ErrNoSuchUID, dirUID)
 	}
@@ -545,6 +516,7 @@ func (h *Hierarchy) Create(who acl.Principal, subj mls.Label, dirUID uint64, nam
 	}
 	uid := h.allocUID()
 	o := &Object{
+		h:        h,
 		UID:      uid,
 		Kind:     opts.Kind,
 		name:     name,
@@ -561,7 +533,7 @@ func (h *Hierarchy) Create(who acl.Principal, subj mls.Label, dirUID uint64, nam
 	if err := h.store.CreateSegment(uid, opts.Length); err != nil {
 		return 0, fmt.Errorf("fs: creating storage for %q: %w", name, err)
 	}
-	h.putObject(o)
+	h.objects[uid] = o
 	dir.entries[name] = &DirEntry{Name: name, UID: uid}
 	h.bumpEntGen(dir)
 	h.ops.creates.Inc()
@@ -570,6 +542,8 @@ func (h *Hierarchy) Create(who acl.Principal, subj mls.Label, dirUID uint64, nam
 
 // AddLink adds a link entry named name pointing at the path target.
 func (h *Hierarchy) AddLink(who acl.Principal, subj mls.Label, dirUID uint64, name, target string) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	dir, err := h.directory(dirUID)
 	if err != nil {
 		return err
@@ -580,8 +554,6 @@ func (h *Hierarchy) AddLink(who acl.Principal, subj mls.Label, dirUID uint64, na
 	if err := h.checkDir(dir, who, subj, acl.ModeAppend); err != nil {
 		return err
 	}
-	dir.mu.Lock()
-	defer dir.mu.Unlock()
 	if dir.dead {
 		return fmt.Errorf("%w: %#x", ErrNoSuchUID, dirUID)
 	}
@@ -601,16 +573,11 @@ func (h *Hierarchy) lookupEntry(dir *Object, who acl.Principal, subj mls.Label, 
 		return nil, err
 	}
 	h.ops.lookups.Inc()
-	dir.mu.RLock()
 	e, ok := dir.entries[name]
-	var cp DirEntry
-	if ok {
-		cp = *e
-	}
-	dir.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %q in %#x", ErrNotFound, name, dir.UID)
 	}
+	cp := *e
 	return &cp, nil
 }
 
@@ -618,6 +585,8 @@ func (h *Hierarchy) lookupEntry(dir *Object, who acl.Principal, subj mls.Label, 
 // permission on the directory. Links are returned as-is; the caller decides
 // whether to chase them.
 func (h *Hierarchy) Lookup(who acl.Principal, subj mls.Label, dirUID uint64, name string) (*DirEntry, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	dir, err := h.directory(dirUID)
 	if err != nil {
 		return nil, err
@@ -627,6 +596,8 @@ func (h *Hierarchy) Lookup(who acl.Principal, subj mls.Label, dirUID uint64, nam
 
 // List returns the entries of directory dirUID in name order.
 func (h *Hierarchy) List(who acl.Principal, subj mls.Label, dirUID uint64) ([]DirEntry, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	dir, err := h.directory(dirUID)
 	if err != nil {
 		return nil, err
@@ -635,15 +606,14 @@ func (h *Hierarchy) List(who acl.Principal, subj mls.Label, dirUID uint64) ([]Di
 		return nil, err
 	}
 	h.ops.lookups.Inc()
-	dir.mu.RLock()
-	es := sortedLocked(dir)
-	dir.mu.RUnlock()
-	return slices.Clone(es), nil
+	return slices.Clone(sortedLocked(dir)), nil
 }
 
 // Delete removes the entry name from directory dirUID. Deleting a branch
 // destroys the object; a non-empty directory cannot be deleted.
 func (h *Hierarchy) Delete(who acl.Principal, subj mls.Label, dirUID uint64, name string) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	dir, err := h.directory(dirUID)
 	if err != nil {
 		return err
@@ -651,24 +621,19 @@ func (h *Hierarchy) Delete(who acl.Principal, subj mls.Label, dirUID uint64, nam
 	if err := h.checkDir(dir, who, subj, acl.ModeModify); err != nil {
 		return err
 	}
-	dir.mu.Lock()
-	defer dir.mu.Unlock()
 	e, ok := dir.entries[name]
 	if !ok {
 		return fmt.Errorf("%w: %q in %#x", ErrNotFound, name, dirUID)
 	}
 	if !e.IsLink() {
-		obj, err := h.Object(e.UID)
+		obj, err := h.object(e.UID)
 		if err != nil {
 			return err
 		}
 		if obj.UID == RootUID {
 			return ErrRootImmutable
 		}
-		// Lock order parent -> child: obj's parent is dir, already held.
-		obj.mu.Lock()
 		if obj.Kind == KindDirectory && len(obj.entries) > 0 {
-			obj.mu.Unlock()
 			return fmt.Errorf("%w: %q", ErrNotEmpty, name)
 		}
 		obj.dead = true
@@ -676,11 +641,10 @@ func (h *Hierarchy) Delete(who acl.Principal, subj mls.Label, dirUID uint64, nam
 		// object before it disappears from the table.
 		h.bumpACLGen(obj)
 		h.bumpEntGen(obj)
-		obj.mu.Unlock()
 		if err := h.store.DeleteSegment(obj.UID); err != nil {
 			return fmt.Errorf("fs: releasing storage of %q: %w", name, err)
 		}
-		h.removeObject(obj.UID)
+		delete(h.objects, obj.UID)
 	}
 	delete(dir.entries, name)
 	h.bumpEntGen(dir)
@@ -692,6 +656,8 @@ func (h *Hierarchy) Delete(who acl.Principal, subj mls.Label, dirUID uint64, nam
 // newName (branch or link; the object keeps its UID, ACL, and label). Like
 // Delete it requires modify permission on the containing directory.
 func (h *Hierarchy) Rename(who acl.Principal, subj mls.Label, dirUID uint64, oldName, newName string) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	dir, err := h.directory(dirUID)
 	if err != nil {
 		return err
@@ -702,8 +668,6 @@ func (h *Hierarchy) Rename(who acl.Principal, subj mls.Label, dirUID uint64, old
 	if err := h.checkDir(dir, who, subj, acl.ModeModify); err != nil {
 		return err
 	}
-	dir.mu.Lock()
-	defer dir.mu.Unlock()
 	if dir.dead {
 		return fmt.Errorf("%w: %#x", ErrNoSuchUID, dirUID)
 	}
@@ -717,12 +681,8 @@ func (h *Hierarchy) Rename(who acl.Principal, subj mls.Label, dirUID uint64, old
 	delete(dir.entries, oldName)
 	e.Name = newName
 	dir.entries[newName] = e
-	if !e.IsLink() {
-		if obj, ok := h.object(e.UID); ok {
-			obj.mu.Lock()
-			obj.name = newName
-			obj.mu.Unlock()
-		}
+	if obj, ok := h.objects[e.UID]; ok && !e.IsLink() {
+		obj.name = newName
 	}
 	h.bumpEntGen(dir)
 	h.ops.renames.Inc()
@@ -733,47 +693,47 @@ func (h *Hierarchy) Rename(who acl.Principal, subj mls.Label, dirUID uint64, old
 // Multics rule, changing a branch's ACL requires modify permission on the
 // containing directory, not on the object itself.
 func (h *Hierarchy) SetACL(who acl.Principal, subj mls.Label, uid uint64, pattern acl.Pattern, mode acl.Mode) error {
-	obj, err := h.Object(uid)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	obj, err := h.branchForACL(who, subj, uid)
 	if err != nil {
 		return err
 	}
-	parent, err := h.directory(obj.Parent())
-	if err != nil {
-		return err
-	}
-	if err := h.checkDir(parent, who, subj, acl.ModeModify); err != nil {
-		return err
-	}
-	obj.mu.Lock()
 	obj.dacl.Set(pattern, mode)
 	h.bumpACLGen(obj)
-	obj.mu.Unlock()
 	h.ops.aclChanges.Inc()
 	return nil
 }
 
-// RemoveACL deletes the entry for pattern from the branch ACL of uid.
-func (h *Hierarchy) RemoveACL(who acl.Principal, subj mls.Label, uid uint64, pattern acl.Pattern) error {
-	obj, err := h.Object(uid)
+// branchForACL returns object uid once who may change its branch ACL:
+// modify permission on the containing directory.
+func (h *Hierarchy) branchForACL(who acl.Principal, subj mls.Label, uid uint64) (*Object, error) {
+	obj, err := h.object(uid)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	parent, err := h.directory(obj.Parent())
+	parent, err := h.directory(obj.parent)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := h.checkDir(parent, who, subj, acl.ModeModify); err != nil {
+		return nil, err
+	}
+	return obj, nil
+}
+
+// RemoveACL deletes the entry for pattern from the branch ACL of uid.
+func (h *Hierarchy) RemoveACL(who acl.Principal, subj mls.Label, uid uint64, pattern acl.Pattern) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	obj, err := h.branchForACL(who, subj, uid)
+	if err != nil {
 		return err
 	}
-	obj.mu.Lock()
-	removed := obj.dacl.Remove(pattern)
-	if removed {
-		h.bumpACLGen(obj)
-	}
-	obj.mu.Unlock()
-	if !removed {
+	if !obj.dacl.Remove(pattern) {
 		return fmt.Errorf("%w: no ACL entry %v", ErrNotFound, pattern)
 	}
+	h.bumpACLGen(obj)
 	h.ops.aclChanges.Inc()
 	return nil
 }
@@ -782,14 +742,14 @@ func (h *Hierarchy) RemoveACL(who acl.Principal, subj mls.Label, uid uint64, pat
 // operation (reached through the phcs_ gate only); the label change kills
 // every cached access decision computed under the old label.
 func (h *Hierarchy) Reclassify(uid uint64, label mls.Label) error {
-	obj, err := h.Object(uid)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	obj, err := h.object(uid)
 	if err != nil {
 		return err
 	}
-	obj.mu.Lock()
 	obj.label = label
 	h.bumpACLGen(obj)
-	obj.mu.Unlock()
 	h.ops.aclChanges.Inc()
 	return nil
 }
@@ -798,19 +758,18 @@ func (h *Hierarchy) Reclassify(uid uint64, label mls.Label) error {
 // calling gate (write access on the segment), as with the other branch
 // status attributes.
 func (h *Hierarchy) SetBitCount(uid uint64, bc int) error {
-	obj, err := h.Object(uid)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	obj, err := h.object(uid)
 	if err != nil {
 		return err
 	}
-	obj.mu.Lock()
 	obj.bitCount = bc
-	obj.mu.Unlock()
 	return nil
 }
 
-// checkSegLocked is the slow-path segment access computation; the caller
-// holds obj.mu.
-func checkSegLocked(obj *Object, who acl.Principal, subj mls.Label, want acl.Mode) error {
+// checkSegSlow is the uncached segment access computation.
+func checkSegSlow(obj *Object, who acl.Principal, subj mls.Label, want acl.Mode) error {
 	if err := obj.dacl.Check(who, want); err != nil {
 		return err
 	}
@@ -834,41 +793,31 @@ func checkSegLocked(obj *Object, who acl.Principal, subj mls.Label, want acl.Mod
 // (uid, principal, label, mode) and honored only while the segment's ACL
 // generation is unchanged.
 func (h *Hierarchy) CheckSegmentAccess(who acl.Principal, subj mls.Label, uid uint64, want acl.Mode) (*Object, error) {
-	obj, err := h.Object(uid)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.checkSegment(who, subj, uid, want)
+}
+
+func (h *Hierarchy) checkSegment(who acl.Principal, subj mls.Label, uid uint64, want acl.Mode) (*Object, error) {
+	obj, err := h.object(uid)
 	if err != nil {
 		return nil, err
 	}
 	if obj.Kind != KindSegment {
 		return nil, fmt.Errorf("%w: %#x", ErrNotSegment, uid)
 	}
-	if !h.dec.on() {
-		obj.mu.RLock()
-		err := checkSegLocked(obj, who, subj, want)
-		obj.mu.RUnlock()
-		if err != nil {
-			return nil, err
-		}
-		return obj, nil
+	if err := h.checkCached(obj, who, subj, want, checkSegSlow); err != nil {
+		return nil, err
 	}
-	key := decisionKey{uid: uid, who: who, label: subj.CacheKey(), want: want}
-	gen := atomic.LoadUint64(&obj.aclGen)
-	if h.dec.lookup(key, gen) {
-		return obj, nil
-	}
-	obj.mu.RLock()
-	cerr := checkSegLocked(obj, who, subj, want)
-	obj.mu.RUnlock()
-	if cerr != nil {
-		return nil, cerr
-	}
-	h.dec.store(key, gen)
 	return obj, nil
 }
 
 // SetLength changes the length of segment uid; the caller must hold write
-// access (checked by CheckSegmentAccess).
+// access (checked as CheckSegmentAccess does).
 func (h *Hierarchy) SetLength(who acl.Principal, subj mls.Label, uid uint64, length int) error {
-	if _, err := h.CheckSegmentAccess(who, subj, uid, acl.ModeWrite); err != nil {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if _, err := h.checkSegment(who, subj, uid, acl.ModeWrite); err != nil {
 		return err
 	}
 	return h.store.SetLength(uid, length)

@@ -16,7 +16,7 @@ var (
 	unc   = mls.NewLabel(mls.Unclassified)
 )
 
-func newHier(t *testing.T) *Hierarchy {
+func newHier(t testing.TB) *Hierarchy {
 	t.Helper()
 	cfg := mem.DefaultConfig()
 	cfg.CoreFrames = 256

@@ -14,16 +14,17 @@ import (
 // map, read straight from the object rather than through List.
 func entryMapSorted(t *testing.T, h *Hierarchy, dirUID uint64) []DirEntry {
 	t.Helper()
+	h.mu.Lock()
 	dir, err := h.directory(dirUID)
 	if err != nil {
+		h.mu.Unlock()
 		t.Fatal(err)
 	}
-	dir.mu.RLock()
 	out := make([]DirEntry, 0, len(dir.entries))
 	for _, e := range dir.entries {
 		out = append(out, *e)
 	}
-	dir.mu.RUnlock()
+	h.mu.Unlock()
 	slices.SortFunc(out, func(a, b DirEntry) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }

@@ -25,6 +25,8 @@ func (h *Hierarchy) ListPage(who acl.Principal, subj mls.Label, dirUID uint64, c
 	if limit <= 0 {
 		return nil, "", fmt.Errorf("fs: ListPage limit %d must be positive", limit)
 	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	dir, err := h.directory(dirUID)
 	if err != nil {
 		return nil, "", err
@@ -34,9 +36,7 @@ func (h *Hierarchy) ListPage(who acl.Principal, subj mls.Label, dirUID uint64, c
 	}
 	h.ops.lookups.Inc()
 
-	dir.mu.RLock()
 	es := sortedLocked(dir)
-	dir.mu.RUnlock()
 	// Names are never empty, so the empty cursor starts at index 0.
 	start := sort.Search(len(es), func(i int) bool { return es[i].Name > cursor })
 	end := min(start+limit, len(es))

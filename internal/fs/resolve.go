@@ -3,7 +3,6 @@ package fs
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 )
 
 // PathSep is the Multics path-name separator: ">udd>CSR>Schroeder>thesis".
@@ -56,22 +55,24 @@ func JoinPath(parts ...string) string {
 // generation check of every object the original walk relied on, instead of
 // the full per-component walk. See pathcache.go for the safety argument.
 func (h *Hierarchy) ResolvePath(who Principal, subj Label, path string) (uint64, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	h.ops.resolves.Inc()
-	// The epoch is loaded before the cache is probed or the walk observes
-	// anything: entries filled under it stay on the O(1) validation path
+	// Entries filled under this epoch stay on the O(1) validation path
 	// until the next mutation anywhere (see pathcache.go).
-	ep := atomic.LoadUint64(&h.mutEpoch)
-	if h.paths.on() {
+	ep := h.mutEpoch
+	if h.paths.enabled {
 		// Fast path: the exact name was resolved before for this subject
 		// and nothing along its walk has changed. No parsing needed — a
 		// cache key can only exist if this identical string resolved.
-		sp := h.paths.view(subjKey{who: who, label: subj.CacheKey()})
-		if e := h.paths.lookup(sp, path, ep); e != nil {
+		sp := h.paths.subjs[subjKey{who: who, label: subj.CacheKey()}]
+		if e := h.paths.lookup(sp, path, ep, maxLinkDepth); e != nil {
 			return e.uid, nil
 		}
 	}
 	var steps []pathStep
-	return h.resolve(who, subj, path, 0, ep, &steps, false)
+	uid, _, err := h.resolve(who, subj, path, 0, ep, &steps, false)
+	return uid, err
 }
 
 // componentEnds returns, for each path component, the byte offset just past
@@ -93,22 +94,24 @@ func componentEnds(path string) []int {
 // link target must invalidate every cached prefix that chased the link).
 // probeFull controls whether the full-path cache entry is probed here;
 // ResolvePath already probed it for the top-level call. ep is the mutation
-// epoch loaded before the outermost walk observed anything; entries filled
-// with it are trivially valid while it stays current.
-func (h *Hierarchy) resolve(who Principal, subj Label, path string, depth int, ep uint64, acc *[]pathStep, probeFull bool) (uint64, error) {
+// epoch the walk runs under; entries filled with it are trivially valid
+// while it stays current. reach is the deepest link-chase depth the walk
+// reached, counting the depth recorded in the cache entries it used.
+func (h *Hierarchy) resolve(who Principal, subj Label, path string, depth int, ep uint64, acc *[]pathStep, probeFull bool) (uid uint64, reach int, err error) {
 	if depth > maxLinkDepth {
-		return 0, fmt.Errorf("%w: %q", ErrLinkLoop, path)
+		return 0, depth, fmt.Errorf("%w: %q", ErrLinkLoop, path)
 	}
 	parts, err := SplitPath(path)
 	if err != nil {
-		return 0, err
+		return 0, depth, err
 	}
 	if len(parts) == 0 {
-		return RootUID, nil
+		return RootUID, depth, nil
 	}
+	reach = depth
 
-	caching := h.paths.on()
-	var sp *subjPaths
+	caching := h.paths.enabled
+	var sp map[string]*pathEntry
 	var ends []int
 	cur := uint64(RootUID)
 	start := 0 // first component not satisfied from cache
@@ -116,7 +119,7 @@ func (h *Hierarchy) resolve(who Principal, subj Label, path string, depth int, e
 	if caching {
 		// One subject-view fetch serves every prefix probe and fill of
 		// this walk; the per-prefix key is then just the path string.
-		sp = h.paths.viewOrCreate(subjKey{who: who, label: subj.CacheKey()})
+		sp = h.paths.view(subjKey{who: who, label: subj.CacheKey()})
 		ends = componentEnds(path)
 		base = len(*acc)
 		// Probe cached prefixes, longest first: a hit at k components
@@ -127,17 +130,18 @@ func (h *Hierarchy) resolve(who Principal, subj Label, path string, depth int, e
 			top--
 		}
 		for k := top; k >= 1; k-- {
-			e := h.paths.lookup(sp, path[:ends[k-1]], ep)
+			e := h.paths.lookup(sp, path[:ends[k-1]], ep, maxLinkDepth-depth)
 			if e == nil {
 				continue
 			}
 			*acc = append(*acc, e.steps...)
 			cur = e.uid
+			reach = depth + e.links
 			start = k
 			break
 		}
 		if start == len(parts) {
-			return cur, nil
+			return cur, reach, nil
 		}
 	}
 
@@ -145,43 +149,33 @@ func (h *Hierarchy) resolve(who Principal, subj Label, path string, depth int, e
 		name := parts[i]
 		dir, err := h.directory(cur)
 		if err != nil {
-			return 0, fmt.Errorf("resolving %q component %q: %w", path, name, err)
-		}
-		// Capture the generations before observing the directory: a
-		// mutation racing this lookup bumps past these values, so the
-		// prefix entry filled below is stillborn rather than stale.
-		var st pathStep
-		if caching {
-			st = pathStep{
-				obj:    dir,
-				aclGen: atomic.LoadUint64(&dir.aclGen),
-				entGen: atomic.LoadUint64(&dir.entGen),
-			}
+			return 0, reach, fmt.Errorf("resolving %q component %q: %w", path, name, err)
 		}
 		entry, err := h.lookupEntry(dir, who, subj, name)
 		if err != nil {
-			return 0, fmt.Errorf("resolving %q component %q: %w", path, name, err)
+			return 0, reach, fmt.Errorf("resolving %q component %q: %w", path, name, err)
 		}
 		if caching {
-			*acc = append(*acc, st)
+			*acc = append(*acc, pathStep{obj: dir, aclGen: dir.aclGen, entGen: dir.entGen})
 		}
 		if entry.IsLink() {
 			// Chase the link, then continue with the remaining components.
-			target, err := h.resolve(who, subj, entry.LinkTo, depth+1, ep, acc, true)
+			target, r, err := h.resolve(who, subj, entry.LinkTo, depth+1, ep, acc, true)
 			if err != nil {
-				return 0, fmt.Errorf("chasing link %q -> %q: %w", name, entry.LinkTo, err)
+				return 0, r, fmt.Errorf("chasing link %q -> %q: %w", name, entry.LinkTo, err)
 			}
 			cur = target
+			reach = max(reach, r)
 		} else {
 			if i < len(parts)-1 {
 				// Interior components must be directories; the next
 				// iteration verifies this, but fail early with a clear error.
-				obj, err := h.Object(entry.UID)
+				obj, err := h.object(entry.UID)
 				if err != nil {
-					return 0, err
+					return 0, reach, err
 				}
 				if obj.Kind != KindDirectory {
-					return 0, fmt.Errorf("%w: %q in %q", ErrNotDirectory, name, path)
+					return 0, reach, fmt.Errorf("%w: %q in %q", ErrNotDirectory, name, path)
 				}
 			}
 			cur = entry.UID
@@ -192,16 +186,18 @@ func (h *Hierarchy) resolve(who Principal, subj Label, path string, depth int, e
 			chain := make([]pathStep, len(*acc)-base)
 			copy(chain, (*acc)[base:])
 			h.paths.store(sp, path[:ends[i]],
-				&pathEntry{uid: cur, epoch: ep, steps: chain})
+				&pathEntry{uid: cur, links: reach - depth, epoch: ep, steps: chain})
 		}
 	}
-	return cur, nil
+	return cur, reach, nil
 }
 
 // PathOf reconstructs the absolute tree name of uid by following parent
 // pointers. It is a status tool (used by examples and error messages), not
 // a kernel interface.
 func (h *Hierarchy) PathOf(uid uint64) (string, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	if uid == RootUID {
 		return PathSep, nil
 	}
@@ -210,16 +206,15 @@ func (h *Hierarchy) PathOf(uid uint64) (string, error) {
 		if hops >= maxParentDepth {
 			return "", fmt.Errorf("%w: parent chain from %#x exceeds %d hops", ErrParentLoop, uid, maxParentDepth)
 		}
-		obj, err := h.Object(uid)
+		obj, err := h.object(uid)
 		if err != nil {
 			return "", err
 		}
-		name, parent := obj.nameParent()
-		parts = append(parts, name)
-		if parent == uid {
+		parts = append(parts, obj.name)
+		if obj.parent == uid {
 			return "", fmt.Errorf("fs: object %#x is its own parent", uid)
 		}
-		uid = parent
+		uid = obj.parent
 	}
 	for i, j := 0, len(parts)-1; i < j; i, j = i+1, j-1 {
 		parts[i], parts[j] = parts[j], parts[i]

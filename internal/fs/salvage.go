@@ -12,12 +12,12 @@ import (
 // the invariants the rest of the kernel relies on, optionally repairing
 // what can be repaired safely.
 //
-// The salvager runs with kernel authority on a quiescent hierarchy (at
-// bootstrap, or after the fault plane simulates a crash) — it reaches
-// directly into object state rather than going through the access-checked
-// interfaces. Its repairs and the fault plane's injected damage rewrite
-// parent pointers, names and storage without the generation bumps that
-// keep the decision and path caches honest, so both Salvage and
+// The salvager runs with kernel authority (at bootstrap, or after the
+// fault plane simulates a crash) — it holds the hierarchy's lock and
+// reaches directly into object state rather than going through the
+// access-checked interfaces. Its repairs and the fault plane's injected
+// damage rewrite parent pointers, names and storage without the generation
+// bumps that keep the decision and path caches honest, so both Salvage and
 // CorruptForTesting end by flushing those caches wholesale. Entry-map
 // writes still bump the directory's entGen: a directory's sorted listing
 // lives on the object itself, where a flush cannot reach it.
@@ -137,17 +137,19 @@ func (r *SalvageReport) Format() string {
 // re-created empty. Label inversions are only reported — relabeling is a
 // security decision the salvager must not make.
 func (h *Hierarchy) Salvage(repair bool) (*SalvageReport, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	rep := &SalvageReport{}
 	// Repairs mutate structures without the per-mutation generation
 	// bumps; drop every memoized decision and prefix when done.
-	defer h.FlushCaches()
+	defer h.flushCaches()
 
 	// Pass 1: walk from the root, recording reachability and checking
 	// per-entry invariants.
 	reachable := map[uint64]bool{RootUID: true}
 	var walk func(dirUID uint64) error
 	walk = func(dirUID uint64) error {
-		dir, ok := h.object(dirUID)
+		dir, ok := h.objects[dirUID]
 		if !ok || dir.Kind != KindDirectory {
 			return fmt.Errorf("fs: salvager walked into non-directory %#x", dirUID)
 		}
@@ -161,7 +163,7 @@ func (h *Hierarchy) Salvage(repair bool) (*SalvageReport, error) {
 			if e.IsLink() {
 				continue // links may dangle by design; resolution reports it
 			}
-			obj, ok := h.object(e.UID)
+			obj, ok := h.objects[e.UID]
 			if !ok {
 				p := Problem{Kind: DanglingEntry, UID: dirUID, Name: name,
 					Detail: fmt.Sprintf("entry points at missing object %#x", e.UID)}
@@ -219,13 +221,13 @@ func (h *Hierarchy) Salvage(repair bool) (*SalvageReport, error) {
 	}
 
 	// Pass 2: orphans — objects in the table that pass 1 never reached.
-	uids := h.UIDs()
+	uids := h.sortedUIDs()
 	rep.ObjectsWalked = len(uids)
 	for _, uid := range uids {
 		if reachable[uid] {
 			continue
 		}
-		obj, ok := h.object(uid)
+		obj, ok := h.objects[uid]
 		if !ok {
 			continue
 		}
@@ -234,7 +236,7 @@ func (h *Hierarchy) Salvage(repair bool) (*SalvageReport, error) {
 		if repair {
 			lost, err := h.lostAndFound()
 			if err == nil {
-				lostDir, _ := h.object(lost)
+				lostDir := h.objects[lost]
 				name := fmt.Sprintf("orphan.%x", uid)
 				if _, dup := lostDir.entries[name]; !dup {
 					lostDir.entries[name] = &DirEntry{Name: name, UID: uid}
@@ -253,12 +255,13 @@ func (h *Hierarchy) Salvage(repair bool) (*SalvageReport, error) {
 // lostAndFound returns the recovery directory's UID, creating it directly
 // (the salvager runs with kernel authority during initialization).
 func (h *Hierarchy) lostAndFound() (uint64, error) {
-	root, _ := h.object(RootUID)
+	root := h.objects[RootUID]
 	if e, ok := root.entries["lost+found"]; ok && !e.IsLink() {
 		return e.UID, nil
 	}
 	uid := h.allocUID()
 	lost := &Object{
+		h:       h,
 		UID:     uid,
 		Kind:    KindDirectory,
 		name:    "lost+found",
@@ -270,7 +273,7 @@ func (h *Hierarchy) lostAndFound() (uint64, error) {
 	if err := h.store.CreateSegment(uid, 0); err != nil {
 		return 0, err
 	}
-	h.putObject(lost)
+	h.objects[uid] = lost
 	root.entries["lost+found"] = &DirEntry{Name: "lost+found", UID: uid}
 	h.bumpEntGen(root)
 	return uid, nil
@@ -280,27 +283,28 @@ func (h *Hierarchy) lostAndFound() (uint64, error) {
 // tests and failure-injection experiments can exercise each problem class.
 // It is exported for tests only and performs no access checks.
 func (h *Hierarchy) CorruptForTesting(kind ProblemKind, uid uint64) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	// Injected damage bypasses the generation discipline entirely.
-	defer h.FlushCaches()
-	obj, ok := h.object(uid)
-	if !ok {
-		return fmt.Errorf("%w: %#x", ErrNoSuchUID, uid)
+	defer h.flushCaches()
+	obj, err := h.object(uid)
+	if err != nil {
+		return err
 	}
 	switch kind {
 	case OrphanObject:
-		parent, ok := h.object(obj.parent)
+		parent, ok := h.objects[obj.parent]
 		if !ok {
 			return fmt.Errorf("fs: object %#x has no parent", uid)
 		}
 		delete(parent.entries, obj.name)
 		h.bumpEntGen(parent)
 	case DanglingEntry:
-		h.removeObject(uid)
+		delete(h.objects, uid)
 		_ = h.store.DeleteSegment(uid)
 		// the parent's entry remains, now dangling
 	case ParentMismatch:
-		root, _ := h.object(RootUID)
-		if root.entries[obj.name] != nil {
+		if h.objects[RootUID].entries[obj.name] != nil {
 			return fmt.Errorf("fs: cannot fake mismatch for %q", obj.name)
 		}
 		obj.parent = RootUID // point at root regardless of truth

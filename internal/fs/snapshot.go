@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/acl"
 	"repro/internal/machine"
@@ -68,19 +67,17 @@ type snapshot struct {
 	Objects []snapObject `json:"objects"`
 }
 
-// ExportSnapshot serializes the live hierarchy canonically. It is meant to
-// run at a checkpoint barrier with no concurrent mutators; each object is
-// read under its own lock, so a quiescent hierarchy exports consistently.
+// ExportSnapshot serializes the live hierarchy canonically. The whole
+// export holds the hierarchy's lock, so a snapshot is one state of the
+// hierarchy even beside concurrent mutators.
 func (h *Hierarchy) ExportSnapshot() ([]byte, error) {
-	snap := snapshot{Version: snapshotVersion}
-	uids := h.UIDs()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	snap := snapshot{Version: snapshotVersion, NextUID: h.nextUID}
+	uids := h.sortedUIDs()
 	snap.Objects = make([]snapObject, 0, len(uids))
 	for _, uid := range uids {
-		o, ok := h.object(uid)
-		if !ok {
-			continue
-		}
-		o.mu.RLock()
+		o := h.objects[uid]
 		so := snapObject{
 			UID:      o.UID,
 			Kind:     int(o.Kind),
@@ -107,18 +104,12 @@ func (h *Hierarchy) ExportSnapshot() ([]byte, error) {
 			}
 			sort.Slice(so.Entries, func(i, j int) bool { return so.Entries[i].Name < so.Entries[j].Name })
 		}
-		o.mu.RUnlock()
 		snap.Objects = append(snap.Objects, so)
 	}
-	// nextUID is read last: with mutators quiesced it matches the object
-	// census; restore must continue UID allocation where the checkpoint
-	// left off so post-restore creates repeat the uninterrupted run.
-	snap.NextUID = h.loadNextUID()
+	// Restore continues UID allocation where the checkpoint left off, so
+	// post-restore creates repeat the uninterrupted run.
 	return json.Marshal(snap)
 }
-
-// loadNextUID reads the UID allocator without advancing it.
-func (h *Hierarchy) loadNextUID() uint64 { return atomic.LoadUint64(&h.nextUID) }
 
 // SnapshotDigest returns the hex sha256 of snapshot bytes.
 func SnapshotDigest(data []byte) string {
@@ -137,10 +128,7 @@ func ImportSnapshot(store *mem.Store, data []byte) (*Hierarchy, error) {
 	if snap.Version != snapshotVersion {
 		return nil, fmt.Errorf("fs: snapshot version %d, want %d", snap.Version, snapshotVersion)
 	}
-	h := &Hierarchy{store: store, nextUID: snap.NextUID}
-	for i := range h.shards {
-		h.shards[i].objects = make(map[uint64]*Object)
-	}
+	h := &Hierarchy{store: store, objects: make(map[uint64]*Object), nextUID: snap.NextUID}
 	h.SetMetrics(metrics.New())
 	sawRoot := false
 	for _, so := range snap.Objects {
@@ -152,6 +140,7 @@ func ImportSnapshot(store *mem.Store, data []byte) (*Hierarchy, error) {
 			})
 		}
 		o := &Object{
+			h:      h,
 			UID:    so.UID,
 			Kind:   Kind(so.Kind),
 			Author: so.Author,
@@ -171,10 +160,10 @@ func ImportSnapshot(store *mem.Store, data []byte) (*Hierarchy, error) {
 				o.entries[e.Name] = &DirEntry{Name: e.Name, UID: e.UID, LinkTo: e.LinkTo}
 			}
 		}
-		if _, ok := h.object(so.UID); ok {
+		if _, ok := h.objects[so.UID]; ok {
 			return nil, fmt.Errorf("fs: snapshot repeats UID %#x", so.UID)
 		}
-		h.putObject(o)
+		h.objects[so.UID] = o
 		if so.UID == RootUID {
 			sawRoot = true
 		}
@@ -189,7 +178,7 @@ func ImportSnapshot(store *mem.Store, data []byte) (*Hierarchy, error) {
 			if e.LinkTo != "" {
 				continue
 			}
-			if _, ok := h.object(e.UID); !ok {
+			if _, ok := h.objects[e.UID]; !ok {
 				return nil, fmt.Errorf("fs: snapshot entry %q in %#x points at missing object %#x", e.Name, so.UID, e.UID)
 			}
 		}

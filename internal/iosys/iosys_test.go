@@ -2,7 +2,6 @@ package iosys
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -183,7 +182,7 @@ func TestCircularBufferConcurrentAccounting(t *testing.T) {
 	}
 	const producers, perProducer = 8, 500
 	var wg sync.WaitGroup
-	var producing int32 = 1
+	producersDone := make(chan struct{})
 	var delivered int64
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
@@ -202,13 +201,17 @@ func TestCircularBufferConcurrentAccounting(t *testing.T) {
 				delivered++
 				continue
 			}
-			if atomic.LoadInt32(&producing) == 0 && b.Len() == 0 {
-				return
+			select {
+			case <-producersDone:
+				if b.Len() == 0 {
+					return
+				}
+			default:
 			}
 		}
 	}()
 	wg.Wait()
-	atomic.StoreInt32(&producing, 0)
+	close(producersDone)
 	<-consumed
 	// The invariant the front-end depends on: every message is accounted
 	// for exactly once — delivered, still buffered, or counted as lost.

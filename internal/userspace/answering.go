@@ -36,7 +36,7 @@ func NewAnsweringSubsystem(k *core.Kernel) (*AnsweringSubsystem, error) {
 		return nil, fmt.Errorf("userspace: creating subsystem process: %w", err)
 	}
 	a := &AnsweringSubsystem{k: k, proc: proc}
-	a.svc = auth.NewService(auth.Subsystem, k.Services().Users, a.createProcess)
+	a.svc = auth.NewService(auth.Subsystem, k.Services().Users, a.createProcess, k.Services().Metrics)
 	return a, nil
 }
 

@@ -11,30 +11,25 @@ import (
 	"testing"
 )
 
-// Counters live in the unified metrics plane (internal/metrics): no other
-// package may grow private sync/atomic counter values, which is how the
-// ad-hoc stats surfaces accreted in the first place. This test parses
-// every Go file of the module outside perfbench (internal/, cmd/,
-// multics/, examples/ and the root package, tests included) and flags
-// any use of the typed atomics atomic.Int32, Int64, Uint32, Uint64 and
-// Bool, through whatever name the file imports "sync/atomic" as.
-// atomic.Pointer and atomic.Value are not counters and are exempt.
+// Counters live in the unified metrics plane (internal/metrics), and the
+// kernel has one concurrency mechanism, the mutex: no other package may
+// use sync/atomic, which is how the ad-hoc stats surfaces and lock-free
+// side paths accreted in the first place. This test parses every Go file
+// of the module outside perfbench (internal/, cmd/, multics/, examples/
+// and the root package, tests included) and flags every import of
+// "sync/atomic", under whatever name, and every use of that name.
 //
 // Allowlisted: internal/metrics (the plane itself) and
 // internal/trace/trace.go (the trace ring's cursor and enabled flag; the
 // ring is the leaf the metrics plane publishes through).
 
-var atomicCounterTypes = map[string]bool{
-	"Int32": true, "Int64": true, "Uint32": true, "Uint64": true, "Bool": true,
-}
-
-func atomicCounterAllowed(rel string) bool {
+func atomicAllowed(rel string) bool {
 	return strings.HasPrefix(rel, "internal/metrics/") || rel == "internal/trace/trace.go"
 }
 
-// atomicCounterViolations returns every use of a typed atomic outside
+// atomicViolations returns every import and use of sync/atomic outside
 // the allowlist in the module rooted at root, as "file:line: reason".
-func atomicCounterViolations(t *testing.T, root string) []string {
+func atomicViolations(t *testing.T, root string) []string {
 	t.Helper()
 	var files []string
 	for _, dir := range []string{"internal", "cmd", "multics", "examples"} {
@@ -68,7 +63,7 @@ func atomicCounterViolations(t *testing.T, root string) []string {
 			t.Fatal(err)
 		}
 		rel = filepath.ToSlash(rel)
-		if atomicCounterAllowed(rel) {
+		if atomicAllowed(rel) {
 			continue
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
@@ -88,9 +83,8 @@ func atomicCounterViolations(t *testing.T, root string) []string {
 			if imp.Name != nil {
 				name = imp.Name.Name
 			}
-			if name == "." {
-				bad = append(bad, fset.Position(imp.Pos()).String()+": dot-import of sync/atomic hides its counter types")
-			}
+			bad = append(bad, fset.Position(imp.Pos()).String()+": imports sync/atomic outside internal/metrics "+
+				"(count in Services().Metrics; guard state with a mutex)")
 		}
 		if name == "" || name == "_" || name == "." {
 			continue
@@ -100,9 +94,9 @@ func atomicCounterViolations(t *testing.T, root string) []string {
 			if !ok {
 				return true
 			}
-			if id, ok := sel.X.(*ast.Ident); ok && id.Name == name && atomicCounterTypes[sel.Sel.Name] {
-				bad = append(bad, fset.Position(sel.Pos()).String()+": sync/atomic counter "+
-					name+"."+sel.Sel.Name+" outside internal/metrics (use Services().Metrics)")
+			if id, ok := sel.X.(*ast.Ident); ok && id.Name == name {
+				bad = append(bad, fset.Position(sel.Pos()).String()+": uses "+name+"."+sel.Sel.Name+
+					" from sync/atomic outside internal/metrics")
 			}
 			return true
 		})
@@ -111,7 +105,7 @@ func atomicCounterViolations(t *testing.T, root string) []string {
 }
 
 func TestAtomicCounterLint(t *testing.T) {
-	for _, v := range atomicCounterViolations(t, ".") {
+	for _, v := range atomicViolations(t, ".") {
 		t.Error(v)
 	}
 }

@@ -42,14 +42,15 @@ if [ -n "$bad" ]; then
 	exit 1
 fi
 
-echo "== atomic-counter lint"
-# Counters live in the unified metrics plane (internal/metrics): no other
-# package may grow private sync/atomic counter values — that is how the
-# ad-hoc stats surfaces accreted in the first place. The check parses the
-# module with go/parser and flags atomic.Int32/Int64/Uint32/Uint64/Bool
-# outside internal/metrics and internal/trace/trace.go (the trace ring's
-# cursor and enabled flag; the leaf the metrics plane publishes through).
-# atomic.Pointer is not a counter and is exempt (lint_test.go).
+echo "== atomic lint"
+# Counters live in the unified metrics plane (internal/metrics) and shared
+# state is guarded by a mutex: no other package may use sync/atomic — that
+# is how the ad-hoc stats surfaces accreted in the first place. The check
+# parses the module with go/parser, tests included, and flags every import
+# of sync/atomic (under any name) and every use of it outside
+# internal/metrics and internal/trace/trace.go (the trace ring's cursor and
+# enabled flag; the leaf the metrics plane publishes through)
+# (lint_test.go).
 go test -count=1 -run '^TestAtomicCounterLint$' .
 
 echo "== fleet-isolation lint"
@@ -155,88 +156,50 @@ echo "== perfbench module tests (digest equals workload.RunAt, planted faults)"
 echo "== bench smoke (go test -bench E14 -benchtime 1x)"
 go test -run '^$' -bench E14 -benchtime 1x .
 
+# smoke ID 'required line'...: run one experiment and print its output,
+# then fail on a non-zero exit, on a MISMATCH, or on a missing required
+# line. The exit status is taken apart from the output so that a failing
+# run still shows why it failed.
+smoke() {
+	id=$1
+	shift
+	status=0
+	out=$(go run ./cmd/experiments -run "$id" 2>&1) || status=$?
+	echo "$out"
+	if [ "$status" -ne 0 ]; then
+		echo "$id: cmd/experiments exited with status $status" >&2
+		exit 1
+	fi
+	case "$out" in
+	*MISMATCH*)
+		echo "$id did not meet its claims" >&2
+		exit 1
+		;;
+	esac
+	for line in "$@"; do
+		if ! printf '%s\n' "$out" | grep -qF -- "$line"; then
+			echo "$id: required line missing: $line" >&2
+			exit 1
+		fi
+	done
+}
+
 echo "== metrics-plane smoke (E16: zero overhead, reproducible export)"
-out=$(go run ./cmd/experiments -run E16)
-echo "$out"
-case "$out" in
-*MISMATCH*)
-	echo "E16 metrics plane did not meet its claims" >&2
-	exit 1
-	;;
-esac
+smoke E16
 
 echo "== fault-storm smoke (E15: one seeded run, salvage must be 100%)"
-out=$(go run ./cmd/experiments -run E15)
-echo "$out"
-case "$out" in
-*MISMATCH*)
-	echo "E15 fault storm did not meet its claims" >&2
-	exit 1
-	;;
-esac
-if ! echo "$out" | grep -q 'salvager clean after crash'; then
-	echo "E15 fault storm: salvage success not reported clean" >&2
-	exit 1
-fi
+smoke E15 'salvager clean after crash'
 
 echo "== fleet smoke (E17: sharding scales, migration storm survives, digests identical)"
-out=$(go run ./cmd/experiments -run E17)
-echo "$out"
-case "$out" in
-*MISMATCH*)
-	echo "E17 fleet scaling did not meet its claims" >&2
-	exit 1
-	;;
-esac
-if ! echo "$out" | grep -q 'identical=true'; then
-	echo "E17 fleet: session digests not identical across kernel counts" >&2
-	exit 1
-fi
+smoke E17 'identical=true'
 
 echo "== hierarchy-scale smoke (E18: million-segment tree, >=10x cached resolution, revocation-safe)"
-out=$(go run ./cmd/experiments -run E18)
-echo "$out"
-case "$out" in
-*MISMATCH*)
-	echo "E18 hierarchy scale did not meet its claims" >&2
-	exit 1
-	;;
-esac
-if ! echo "$out" | grep -q 'sweep digests identical across par 1/8 and uncached: true'; then
-	echo "E18: revocation sweep digests not identical across parallelism / cache modes" >&2
-	exit 1
-fi
+smoke E18 'sweep digests identical across par 1/8 and uncached: true'
 
 echo "== crash-restore smoke (E19: seeded checkpoint, torn-write crash, byte-identical restore)"
-out=$(go run ./cmd/experiments -run E19)
-echo "$out"
-case "$out" in
-*MISMATCH*)
-	echo "E19 checkpoint/restore did not meet its claims" >&2
-	exit 1
-	;;
-esac
-if ! echo "$out" | grep -q 'digest identical true'; then
-	echo "E19: restored transcript digest diverged from the uninterrupted run" >&2
-	exit 1
-fi
+smoke E19 'digest identical true'
 
 echo "== persona-workload smoke (E21: seeded persona mixes, fleet-invariant digests, fuzz storm)"
-out=$(go run ./cmd/experiments -run E21)
-echo "$out"
-case "$out" in
-*MISMATCH*)
-	echo "E21 persona workloads did not meet their claims" >&2
-	exit 1
-	;;
-esac
-if ! echo "$out" | grep -q 'fleet x1 == fleet x4+migration == single-kernel: true'; then
-	echo "E21: persona digests diverged across kernel counts" >&2
-	exit 1
-fi
-if ! echo "$out" | grep -q 'fuzz replay digest match: true'; then
-	echo "E21: adversarial fuzz storm was not reproducible" >&2
-	exit 1
-fi
+smoke E21 'fleet x1 == fleet x4+migration == single-kernel: true' 'fuzz replay digest match: true'
 
 echo "ok"

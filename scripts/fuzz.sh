@@ -17,6 +17,7 @@ targets="
 ./internal/blockstore:FuzzJournalReplay
 ./internal/core:FuzzRestoreManifest
 ./internal/linker:FuzzListSymbols
+./internal/fs:FuzzResolvePath
 "
 
 for t in $targets; do
